@@ -27,17 +27,12 @@ from rdyck.core import (
     DyckPath,
     Factorization,
     RationalParam,
-    affine_valleys,
     defactorize,
     factorize,
     height,
     min_valleys,
-    parse_path,
     part_size,
-    path_sort_key,
-    render_path,
     semilength,
-    step_sort_key,
     valley_slope,
 )
 from rdyck.counting import (
@@ -68,7 +63,6 @@ __all__ = [
     "Polynomial",
     "RationalParam",
     "RationalSeries",
-    "affine_valleys",
     "check_bijection",
     "check_sum_identity",
     "class_gf",
@@ -86,20 +80,16 @@ __all__ = [
     "min_valleys",
     "oracle_all_height2",
     "oracle_generate",
-    "parse_path",
     "part_size",
     "parts_upto",
-    "path_sort_key",
     "path_to_comp",
     "phi",
     "phi_inv",
     "quasi_gf",
     "rational_gf",
     "rational_gf_unreduced",
-    "render_path",
     "restricted_gf",
     "semilength",
     "series_coeffs",
-    "step_sort_key",
     "valley_slope",
 ]

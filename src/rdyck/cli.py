@@ -22,8 +22,9 @@ from rdyck.compositions import (
     enumerate_compositions,
     path_to_comp,
 )
-from rdyck.core import RationalParam, parse_path, semilength
+from rdyck.core import DyckPath, RationalParam, semilength
 from rdyck.counting import (
+    CountTable,
     class_gf,
     compositions_gf,
     count_enumeration,
@@ -81,8 +82,31 @@ def _q(args: argparse.Namespace) -> RationalParam:
     return RationalParam.from_string(args.q)
 
 
+def _print_counts(fmt: str, tables: dict[str, CountTable]) -> None:
+    """Write count tables as comma-separated lines, or as JSON: a list for one
+    table, an object keyed by method for several.
+
+    Counts at large semilengths have more digits than Python's default
+    int-to-text limit allows, so the limit is lifted while writing and
+    restored afterwards (Python 3.10.0-3.10.6 has no limit).
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            lists = {method: list(table.values) for method, table in tables.items()}
+            print(json.dumps(lists if len(lists) > 1 else next(iter(lists.values()))))
+        else:
+            for table in tables.values():
+                print(*table.values, sep=",")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def _cmd_member(args: argparse.Namespace) -> int:
-    verdict = member(_q(args), _CLASSES[args.path_class], parse_path(args.path))
+    verdict = member(_q(args), _CLASSES[args.path_class], DyckPath(args.path))
     print("true" if verdict else "false")
     return 0
 
@@ -115,25 +139,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
             tables[method] = count_recurrence(q, path_class, args.nmax)
         else:
             tables[method] = series_coeffs(class_gf(q, path_class), args.nmax)
-    if args.format == "json":
-        if args.all_methods:
-            print(json.dumps({m: list(t.values) for m, t in tables.items()}))
-        else:
-            print(json.dumps(list(tables[methods[0]].values)))
-    else:
-        for method in methods:
-            print(tables[method].as_line())
+    _print_counts(args.format, tables)
     return 0
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
     if args.nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {args.nmax}")
-    table = series_coeffs(_GFS[args.gf](_q(args)), args.nmax)
-    if args.format == "json":
-        print(json.dumps(list(table.values)))
-    else:
-        print(table.as_line())
+    _print_counts(args.format, {"series": series_coeffs(_GFS[args.gf](_q(args)), args.nmax)})
     return 0
 
 
@@ -142,17 +155,17 @@ def _cmd_map(args: argparse.Namespace) -> int:
     if args.direction == "comp2path":
         print(comp_to_path(q, Composition.from_text(args.value)).steps)
     else:
-        print(path_to_comp(q, parse_path(args.value)).to_text())
+        print(path_to_comp(q, DyckPath(args.value)).to_text())
     return 0
 
 
 def _cmd_phi(args: argparse.Namespace) -> int:
-    print(phi(_q(args), parse_path(args.path)).steps)
+    print(phi(_q(args), DyckPath(args.path)).steps)
     return 0
 
 
 def _cmd_phi_inv(args: argparse.Namespace) -> int:
-    print(phi_inv(_q(args), parse_path(args.path)).steps)
+    print(phi_inv(_q(args), DyckPath(args.path)).steps)
     return 0
 
 
@@ -195,8 +208,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             built = generate(q, path_class, n)
             checked = oracle_generate(q, path_class, n)
             if built != checked:
-                missing = [p.steps for p in checked if p not in set(built)]
-                extra = [p.steps for p in built if p not in set(checked)]
+                built_set, checked_set = set(built), set(checked)
+                missing = [p.steps for p in checked if p not in built_set]
+                extra = [p.steps for p in built if p not in checked_set]
                 detail = f"n={n} missing={missing} extra={extra}"
                 break
         report(f"generation {path_class.value}", not detail, detail)

@@ -1,4 +1,4 @@
-"""Dyck paths of height at most two: parsing, measures, and block structure.
+"""Dyck paths of height at most two: validation, measures, and block structure.
 
 A Dyck path is a lattice path over the steps U = (1, 1) and D = (1, -1) that
 starts and ends on the x-axis and never dips below it.  Everything in this
@@ -31,15 +31,12 @@ __all__ = [
     "EMPTY_PATH",
     "Factorization",
     "RationalParam",
-    "affine_valleys",
     "defactorize",
     "factorize",
     "height",
     "min_valleys",
-    "parse_path",
     "part_size",
     "path_sort_key",
-    "render_path",
     "semilength",
     "step_sort_key",
     "valley_slope",
@@ -133,16 +130,6 @@ class Factorization:
             raise ValueError("the path UD is encoded by an empty block sequence")
 
 
-def parse_path(text: str) -> DyckPath:
-    """Validate a U/D string as a Dyck path; the empty string is the empty path."""
-    return DyckPath(text)
-
-
-def render_path(path: DyckPath) -> str:
-    """Inverse of parse_path: the step text of ``path`` ('' for the empty path)."""
-    return path.steps
-
-
 def height(path: DyckPath) -> int:
     """Largest level the path reaches; 0 for the empty path."""
     level = top = 0
@@ -221,19 +208,6 @@ def valley_slope(q: RationalParam) -> int | None:
     if (q.s - 1) % q.r == 0:
         return (q.s - 1) // q.r
     return None
-
-
-def affine_valleys(q: RationalParam, j: int) -> int:
-    """min_valleys(q, j) through the affine form j*t + 1; both routes must agree."""
-    t = valley_slope(q)
-    if t is None:
-        raise ValueError(f"{q} has no integer t with s = t*r + 1")
-    if not 1 <= j <= q.r:
-        raise ValueError(f"j must be within 1..{q.r}, got {j}")
-    by_slope = j * t + 1
-    if by_slope != min_valleys(q, j):
-        raise RuntimeError(f"affine valley count disagrees with the ceiling at j={j} for {q}")
-    return by_slope
 
 
 def step_sort_key(steps: str) -> str:

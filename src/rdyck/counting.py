@@ -2,9 +2,11 @@
 
 Each family's counting sequence by semilength has a rational generating
 function whose denominator encodes the suffix recursion of
-:mod:`rdyck.classes`.  Counts are produced by three independent routes —
-literal enumeration, the recurrence, and series expansion of the closed form
-— and the test suite insists they agree.
+:mod:`rdyck.classes`.  All the closed forms are built from one run sum
+T = sum_{p=1}^{r} x^(p + ceil(ps/r)); all but the rational one have the
+denominator 1 - x - T.  Counts are produced by three independent routes —
+literal enumeration, the recurrence, and series expansion of the closed
+form — and the test suite insists they agree.
 
 A note on the quasi family's recurrence: besides the usual suffix terms it
 carries a +1 for every semilength 2 <= n <= r+s.  Those account for the
@@ -77,9 +79,6 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -122,16 +121,11 @@ class RationalSeries:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Exact counts indexed by semilength, tagged with how they were produced."""
+    """Exact counts indexed by semilength."""
 
     values: tuple[int, ...]
-    source: str
-
-    _SOURCES = ("enumeration", "recurrence", "series")
 
     def __post_init__(self) -> None:
-        if self.source not in self._SOURCES:
-            raise ValueError(f"source must be one of {self._SOURCES}, got {self.source!r}")
         if any(v < 0 for v in self.values):
             raise ValueError("counts must be non-negative")
 
@@ -146,23 +140,27 @@ class CountTable:
         return len(self.values)
 
 
+def _run_sum(q: RationalParam) -> Polynomial:
+    # T = sum_{p=1}^{r} x^(p + ceil(ps/r)); the exponents are distinct.
+    return Polynomial.from_terms({part_size(q, p): 1 for p in range(1, q.r + 1)})
+
+
 def rational_gf(q: RationalParam) -> RationalSeries:
     """Closed form for the rational-family counts, reduced:
 
-        numerator    1 - sum_{k=1}^{r-1} x^(k + ceil(ks/r)) - 2 x^(r+s)
-        denominator  1 - x - sum_{k=1}^{r-1} x^(k + ceil(ks/r)) - 2 x^(r+s) + x^(r+s+1)
+        (1 - T - x^(r+s)) / (1 - x - T - x^(r+s) + x^(r+s+1))
+
+    with T as in :func:`restricted_gf`.  T already holds one x^(r+s), its
+    p = r term, so each side carries -2 x^(r+s) in all.
     """
-    num = {0: 1}
-    den = {0: 1, 1: -1}
-    for k in range(1, q.r):
-        e = part_size(q, k)
-        num[e] = num.get(e, 0) - 1
-        den[e] = den.get(e, 0) - 1
+    run_sum = _run_sum(q)
     top = q.r + q.s
-    num[top] = num.get(top, 0) - 2
-    den[top] = den.get(top, 0) - 2
-    den[top + 1] = den.get(top + 1, 0) + 1
-    return RationalSeries(Polynomial.from_terms(num), Polynomial.from_terms(den))
+    x_top = Polynomial.from_terms({top: 1})
+    x_next = Polynomial.from_terms({top + 1: 1})
+    return RationalSeries(
+        Polynomial([1]) - run_sum - x_top,
+        Polynomial([1, -1]) - run_sum - x_top + x_next,
+    )
 
 
 def rational_gf_unreduced(q: RationalParam) -> RationalSeries:
@@ -183,24 +181,10 @@ def rational_gf_unreduced(q: RationalParam) -> RationalSeries:
     return RationalSeries(Polynomial.from_terms(num), Polynomial.from_terms(den))
 
 
-def _capped_run_sum(q: RationalParam) -> dict[int, int]:
-    # T = sum_{p=1}^{r} x^(p + ceil(ps/r)); the exponents are distinct.
-    terms: dict[int, int] = {}
-    for p in range(1, q.r + 1):
-        e = part_size(q, p)
-        terms[e] = terms.get(e, 0) + 1
-    return terms
-
-
 def restricted_gf(q: RationalParam) -> RationalSeries:
     """(1 - T) / (1 - x - T) with T = sum_{p=1}^{r} x^(p + ceil(ps/r))."""
-    run_sum = _capped_run_sum(q)
-    num = {0: 1}
-    den = {0: 1, 1: -1}
-    for e, c in run_sum.items():
-        num[e] = num.get(e, 0) - c
-        den[e] = den.get(e, 0) - c
-    return RationalSeries(Polynomial.from_terms(num), Polynomial.from_terms(den))
+    run_sum = _run_sum(q)
+    return RationalSeries(Polynomial([1]) - run_sum, Polynomial([1, -1]) - run_sum)
 
 
 def quasi_gf(q: RationalParam) -> RationalSeries:
@@ -208,29 +192,20 @@ def quasi_gf(q: RationalParam) -> RationalSeries:
 
     The x^j sum is the single-arch family noted in the module docstring.
     """
-    run_sum = _capped_run_sum(q)
-    num = {0: 1}
-    for j in range(2, q.r + q.s + 1):
-        num[j] = num.get(j, 0) + 1
-    den = {0: 1, 1: -1}
-    for e, c in run_sum.items():
-        num[e] = num.get(e, 0) - c
-        den[e] = den.get(e, 0) - c
-    return RationalSeries(Polynomial.from_terms(num), Polynomial.from_terms(den))
+    run_sum = _run_sum(q)
+    arches = Polynomial([1, 0] + [1] * (q.r + q.s - 1))
+    return RationalSeries(arches - run_sum, Polynomial([1, -1]) - run_sum)
 
 
 def compositions_gf(q: RationalParam) -> RationalSeries:
-    """1 / (1 - sum over the capped part set of x^part); counts compositions by total.
+    """1 / (1 - x - T); counts compositions over the capped part set by total.
 
     Since the capped part set is {1} plus the part sizes with p <= r, the
     denominator equals that of restricted_gf; coefficient n here equals
     coefficient n+1 there (dropping restricted_gf's constant term leaves
     x / (1 - x - T)).
     """
-    den = {0: 1, 1: -1}
-    for e, c in _capped_run_sum(q).items():
-        den[e] = den.get(e, 0) - c
-    return RationalSeries(Polynomial.from_terms({0: 1}), Polynomial.from_terms(den))
+    return RationalSeries(Polynomial([1]), Polynomial([1, -1]) - _run_sum(q))
 
 
 def class_gf(q: RationalParam, path_class: PathClass) -> RationalSeries:
@@ -250,13 +225,11 @@ def series_coeffs(series: RationalSeries, order: int) -> CountTable:
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     num, den = series.numerator, series.denominator
-    if den[0] != 1:
-        raise ValueError("denominator constant term must be 1 for series expansion")
     coeffs: list[int] = []
     for n in range(order + 1):
         value = num[n] - sum(den[j] * coeffs[n - j] for j in range(1, min(n, den.degree()) + 1))
         coeffs.append(value)
-    return CountTable(tuple(coeffs), "series")
+    return CountTable(tuple(coeffs))
 
 
 def count_recurrence(q: RationalParam, path_class: PathClass, order: int) -> CountTable:
@@ -270,6 +243,11 @@ def count_recurrence(q: RationalParam, path_class: PathClass, order: int) -> Cou
     r outside the rational family.  For the quasi family an extra +1 enters
     whenever 2 <= n <= r+s (the single-arch members; see the module
     docstring).
+
+    The rational family has no peak cap, so its lead-in list grows with
+    ``order`` and the route is quadratic in it.  That is deliberate: this is
+    the cross-check of the closed forms and must not go through
+    :func:`series_coeffs`.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -288,7 +266,7 @@ def count_recurrence(q: RationalParam, path_class: PathClass, order: int) -> Cou
             total += 1
         total += sum(values[n - e] for e in exponents if n - e >= 1)
         values.append(total)
-    return CountTable(tuple(values), "recurrence")
+    return CountTable(tuple(values))
 
 
 def count_enumeration(q: RationalParam, path_class: PathClass, order: int) -> CountTable:
@@ -296,7 +274,7 @@ def count_enumeration(q: RationalParam, path_class: PathClass, order: int) -> Co
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     values = tuple(len(generate(q, path_class, n)) for n in range(order + 1))
-    return CountTable(values, "enumeration")
+    return CountTable(values)
 
 
 def check_sum_identity(q: RationalParam, order: int) -> bool:
@@ -318,7 +296,7 @@ def check_sum_identity(q: RationalParam, order: int) -> bool:
         direct[e] += 1
         p += 1
     folded = RationalSeries(
-        Polynomial.from_terms(_capped_run_sum(q)),
+        _run_sum(q),
         Polynomial.from_terms({0: 1, q.r + q.s: -1}),
     )
     return tuple(direct) == series_coeffs(folded, order).values

@@ -6,6 +6,7 @@ All comparisons are exact (integer or set equality); nothing is approximate.
 
 from rdyck import (
     EMPTY_PATH,
+    DyckPath,
     PartSet,
     PathClass,
     RationalParam,
@@ -22,7 +23,6 @@ from rdyck import (
     member,
     oracle_all_height2,
     oracle_generate,
-    parse_path,
     part_size,
     path_to_comp,
     phi,
@@ -93,7 +93,7 @@ def test_criterion_02_table_reproduction():
 
 def test_criterion_03_worked_example_classification():
     for r, s, cls, text, expected in MEMBERSHIP_VERDICTS:
-        got = member(RationalParam(r, s), cls, parse_path(text))
+        got = member(RationalParam(r, s), cls, DyckPath(text))
         assert got is expected, (r, s, text)
     _passed(3, "all six worked-example membership verdicts match")
 

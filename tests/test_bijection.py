@@ -2,6 +2,7 @@ import pytest
 
 from rdyck import (
     EMPTY_PATH,
+    DyckPath,
     PathClass,
     RationalParam,
     check_bijection,
@@ -9,7 +10,6 @@ from rdyck import (
     count_recurrence,
     generate,
     member,
-    parse_path,
     phi,
     phi_inv,
     semilength,
@@ -23,13 +23,13 @@ NON_BIJECTIVE = [(3, 2), (5, 3), (5, 4)]
 class TestPhi:
     def test_peak_conversion_case(self):
         q = RationalParam(1, 1)
-        image = phi(q, parse_path("UUDD"))
+        image = phi(q, DyckPath("UUDD"))
         assert image.steps == "UUDDUD"
         assert member(q, PathClass.RESTRICTED, image)
 
     def test_append_case(self):
         q = RationalParam(1, 2)
-        image = phi(q, parse_path("UD"))
+        image = phi(q, DyckPath("UD"))
         assert image.steps == "UDUDUD"
         assert member(q, PathClass.RESTRICTED, image)
 
@@ -40,12 +40,12 @@ class TestPhi:
 
     def test_rejects_parameter_without_slope(self):
         with pytest.raises(ValueError):
-            phi(RationalParam(3, 2), parse_path("UD"))
+            phi(RationalParam(3, 2), DyckPath("UD"))
 
     def test_rejects_non_member(self):
         # peaks overflow the cap at r = 1
         with pytest.raises(ValueError):
-            phi(RationalParam(1, 1), parse_path("UUDUDD"))
+            phi(RationalParam(1, 1), DyckPath("UUDUDD"))
 
     def test_raises_semilength_by_slope_plus_one(self):
         for r, s in BIJECTIVE:
@@ -58,21 +58,21 @@ class TestPhi:
 
 class TestPhiInv:
     def test_examples(self):
-        assert phi_inv(RationalParam(1, 1), parse_path("UUDDUD")).steps == "UUDD"
-        assert phi_inv(RationalParam(1, 2), parse_path("UDUDUD")).steps == "UD"
-        assert phi_inv(RationalParam(1, 1), parse_path("UD")) == EMPTY_PATH
+        assert phi_inv(RationalParam(1, 1), DyckPath("UUDDUD")).steps == "UUDD"
+        assert phi_inv(RationalParam(1, 2), DyckPath("UDUDUD")).steps == "UD"
+        assert phi_inv(RationalParam(1, 1), DyckPath("UD")) == EMPTY_PATH
 
     def test_rejects_parameter_without_slope(self):
         with pytest.raises(ValueError):
-            phi_inv(RationalParam(3, 2), parse_path("UDUD"))
+            phi_inv(RationalParam(3, 2), DyckPath("UDUD"))
 
     def test_rejects_non_member(self):
         with pytest.raises(ValueError):
-            phi_inv(RationalParam(1, 1), parse_path("UUDD"))
+            phi_inv(RationalParam(1, 1), DyckPath("UUDD"))
 
     def test_rejects_too_short(self):
         with pytest.raises(ValueError):
-            phi_inv(RationalParam(1, 2), parse_path("UD"))
+            phi_inv(RationalParam(1, 2), DyckPath("UD"))
         with pytest.raises(ValueError):
             phi_inv(RationalParam(1, 1), EMPTY_PATH)
 
@@ -141,7 +141,7 @@ class TestCollisionPair:
 
     def test_with_prefix(self):
         q = RationalParam(5, 4)
-        left, right = collision_pair(q, parse_path("UD"))
+        left, right = collision_pair(q, DyckPath("UD"))
         assert left != right
         assert left.steps.startswith("UD") and right.steps.startswith("UD")
         assert member(q, PathClass.QUASI, left)
@@ -162,7 +162,7 @@ class TestCollisionPair:
 
     def test_rejects_bad_prefix(self):
         with pytest.raises(ValueError):
-            collision_pair(RationalParam(3, 2), parse_path("UUDD"))
+            collision_pair(RationalParam(3, 2), DyckPath("UUDD"))
 
 
 class TestIndependentCardinalities:

@@ -4,6 +4,7 @@ import pytest
 
 from rdyck import (
     EMPTY_PATH,
+    DyckPath,
     Factorization,
     PathClass,
     RationalParam,
@@ -13,7 +14,6 @@ from rdyck import (
     min_valleys,
     oracle_all_height2,
     oracle_generate,
-    parse_path,
 )
 
 Q_SAMPLE = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 5)]
@@ -32,7 +32,7 @@ class TestMember:
         ],
     )
     def test_worked_examples(self, r, s, cls, text, expected):
-        assert member(RationalParam(r, s), cls, parse_path(text)) is expected
+        assert member(RationalParam(r, s), cls, DyckPath(text)) is expected
 
     def test_empty_path_in_all(self):
         for r, s in Q_SAMPLE:
@@ -40,7 +40,7 @@ class TestMember:
                 assert member(RationalParam(r, s), cls, EMPTY_PATH)
 
     def test_tall_paths_in_none(self):
-        tall = parse_path("UUUDDD")
+        tall = DyckPath("UUUDDD")
         for r, s in Q_SAMPLE:
             for cls in PathClass:
                 assert not member(RationalParam(r, s), cls, tall)
@@ -57,7 +57,7 @@ class TestMember:
         for r, s in Q_SAMPLE:
             q = RationalParam(r, s)
             for n in range(9):
-                arches = parse_path("UD" * n)
+                arches = DyckPath("UD" * n)
                 for cls in PathClass:
                     assert member(q, cls, arches)
 

@@ -1,8 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rdyck
+from rdyck import RationalParam, rational_gf, series_coeffs
 from rdyck.cli import run
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int-to-text digit limit"
+)
 
 
 def invoke(capsys, *argv):
@@ -111,6 +120,38 @@ class TestSeries:
         )
         assert code == 0
         assert json.loads(out) == [1, 1, 1, 2, 3, 5]
+
+
+class TestDigitLimit:
+    @needs_digit_limit
+    def test_counts_past_the_limit(self, capsys):
+        # the 1/1 counts reach 640 digits well before n = 3000
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = invoke(capsys, "series", "--q", "1/1", "--gf", "rational", "--nmax", "3000")
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert (code, err) == (0, "")
+        expected = series_coeffs(rational_gf(RationalParam(1, 1)), 3000).values
+        assert out == ",".join(map(str, expected)) + "\n"
+
+    @needs_digit_limit
+    def test_huge_nmax_is_usage_error(self, capsys):
+        code, _, err = invoke(capsys, "series", "--q", "1/1", "--gf", "rational", "--nmax", "9" * 5000)
+        assert code == 2
+        assert "usage" in err
+
+
+def test_runs_as_module():
+    src = os.path.dirname(os.path.dirname(rdyck.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "rdyck", "member", "--class", "r", "--q", "1/1", "UD"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "true\n")
 
 
 class TestMap:

@@ -2,13 +2,13 @@ import pytest
 
 from rdyck import (
     Composition,
+    DyckPath,
     PartSet,
     PathClass,
     RationalParam,
     comp_to_path,
     enumerate_compositions,
     generate,
-    parse_path,
     part_size,
     parts_upto,
     path_to_comp,
@@ -110,17 +110,17 @@ class TestMapping:
         [("UUDUDDUDUDUD", (5,)), ("UD", ()), ("UUDDUDUDUD", (3, 1))],
     )
     def test_path_to_comp_examples(self, text, parts):
-        assert path_to_comp(RationalParam(3, 4), parse_path(text)).parts == parts
+        assert path_to_comp(RationalParam(3, 4), DyckPath(text)).parts == parts
 
     def test_path_to_comp_rejects_empty(self):
         with pytest.raises(ValueError):
-            path_to_comp(RationalParam(3, 4), parse_path(""))
+            path_to_comp(RationalParam(3, 4), DyckPath(""))
 
     def test_path_to_comp_rejects_non_member(self):
         with pytest.raises(ValueError):
-            path_to_comp(RationalParam(3, 4), parse_path("UUDDUDUUDUDDUDUD"))
+            path_to_comp(RationalParam(3, 4), DyckPath("UUDDUDUUDUDDUDUD"))
         with pytest.raises(ValueError):
-            path_to_comp(RationalParam(1, 1), parse_path("UUDD"))
+            path_to_comp(RationalParam(1, 1), DyckPath("UUDD"))
 
     def test_round_trips(self):
         for r, s in Q_SAMPLE:

@@ -5,15 +5,12 @@ from rdyck import (
     DyckPath,
     Factorization,
     RationalParam,
-    affine_valleys,
     defactorize,
     factorize,
     height,
     min_valleys,
     oracle_all_height2,
-    parse_path,
     part_size,
-    render_path,
     semilength,
     valley_slope,
 )
@@ -21,24 +18,24 @@ from rdyck import (
 
 class TestParseRender:
     def test_small_valid(self):
-        assert semilength(parse_path("UDUD")) == 2
+        assert semilength(DyckPath("UDUD")) == 2
 
     def test_worked_example_path(self):
-        assert semilength(parse_path("UUDDUDUUDUDDUDUD")) == 8
+        assert semilength(DyckPath("UUDDUDUUDUDDUDUD")) == 8
 
     def test_empty(self):
-        assert parse_path("") == EMPTY_PATH
-        assert render_path(EMPTY_PATH) == ""
+        assert DyckPath("") == EMPTY_PATH
+        assert EMPTY_PATH.steps == ""
 
     @pytest.mark.parametrize("text", ["UDD", "DU", "UUD", "UXD", "ud"])
     def test_rejects(self, text):
         with pytest.raises(ValueError):
-            parse_path(text)
+            DyckPath(text)
 
     def test_round_trip(self):
         for n in range(7):
             for p in oracle_all_height2(n):
-                assert parse_path(render_path(p)) == p
+                assert DyckPath(p.steps) == p
 
 
 class TestMeasures:
@@ -47,33 +44,33 @@ class TestMeasures:
         [("UD", 1), ("UUDD", 2), ("UUUDDD", 3), ("", 0)],
     )
     def test_height(self, text, expected):
-        assert height(parse_path(text)) == expected
+        assert height(DyckPath(text)) == expected
 
     @pytest.mark.parametrize(
         "text,expected",
         [("", 0), ("UDUD", 2), ("UUDDUDUUDUDDUDUDUDUD", 10)],
     )
     def test_semilength(self, text, expected):
-        assert semilength(parse_path(text)) == expected
+        assert semilength(DyckPath(text)) == expected
 
 
 class TestFactorization:
     def test_worked_example(self):
-        assert factorize(parse_path("UUDDUDUUDUDDUDUD")).blocks == ((1, 2), (2, 2))
+        assert factorize(DyckPath("UUDDUDUUDUDDUDUD")).blocks == ((1, 2), (2, 2))
 
     def test_single_arch(self):
-        assert factorize(parse_path("UD")).blocks == ()
+        assert factorize(DyckPath("UD")).blocks == ()
 
     def test_all_valleys(self):
         # hand expansion of U(DU)(DU)D, confirmed by the round trip below
-        fact = factorize(parse_path("UDUDUD"))
+        fact = factorize(DyckPath("UDUDUD"))
         assert fact.blocks == ((0, 2),)
-        assert defactorize(fact) == parse_path("UDUDUD")
+        assert defactorize(fact) == DyckPath("UDUDUD")
 
     def test_defactorize_examples(self):
-        assert defactorize(Factorization(())) == parse_path("UD")
-        assert defactorize(Factorization(((1, 2), (2, 4)))) == parse_path("UUDDUDUUDUDDUDUDUDUD")
-        assert defactorize(Factorization(((1, 0),))) == parse_path("UUDD")
+        assert defactorize(Factorization(())) == DyckPath("UD")
+        assert defactorize(Factorization(((1, 2), (2, 4)))) == DyckPath("UUDDUDUUDUDDUDUDUDUD")
+        assert defactorize(Factorization(((1, 0),))) == DyckPath("UUDD")
 
     def test_rejects_empty_path(self):
         with pytest.raises(ValueError):
@@ -81,7 +78,7 @@ class TestFactorization:
 
     def test_rejects_tall_path(self):
         with pytest.raises(ValueError):
-            factorize(parse_path("UUUDDD"))
+            factorize(DyckPath("UUUDDD"))
 
     @pytest.mark.parametrize(
         "blocks",
@@ -159,31 +156,16 @@ class TestDerivedQuantities:
     def test_valley_slope(self, r, s, expected):
         assert valley_slope(RationalParam(r, s)) == expected
 
-    @pytest.mark.parametrize(
-        "r,s,j,expected",
-        [(1, 2, 1, 2), (2, 3, 2, 3), (1, 1, 1, 1)],
-    )
-    def test_affine_valleys(self, r, s, j, expected):
-        assert affine_valleys(RationalParam(r, s), j) == expected
-
     def test_affine_valleys_matches_ceiling_everywhere(self):
         for r, s in [(1, 1), (2, 1), (1, 2), (2, 3), (1, 3), (3, 4), (4, 9)]:
             q = RationalParam(r, s)
             t = valley_slope(q)
             for j in range(1, r + 1):
-                assert affine_valleys(q, j) == min_valleys(q, j) == j * t + 1
-
-    def test_affine_valleys_rejections(self):
-        with pytest.raises(ValueError):
-            affine_valleys(RationalParam(3, 2), 1)
-        with pytest.raises(ValueError):
-            affine_valleys(RationalParam(2, 3), 0)
-        with pytest.raises(ValueError):
-            affine_valleys(RationalParam(2, 3), 3)
+                assert min_valleys(q, j) == j * t + 1
 
 
 def test_paths_are_immutable_and_hashable():
-    p = parse_path("UUDD")
-    assert {p, parse_path("UUDD")} == {p}
+    p = DyckPath("UUDD")
+    assert {p, DyckPath("UUDD")} == {p}
     with pytest.raises(AttributeError):
         p.steps = "UD"

@@ -58,15 +58,11 @@ class TestSeriesTypes:
             RationalSeries(Polynomial([1]), Polynomial([2]))
 
     def test_count_table_line(self):
-        assert CountTable((1, 1, 2), "recurrence").as_line() == "1,1,2"
+        assert CountTable((1, 1, 2)).as_line() == "1,1,2"
 
     def test_count_table_rejects_negative(self):
         with pytest.raises(ValueError):
-            CountTable((1, -1), "series")
-
-    def test_count_table_rejects_unknown_source(self):
-        with pytest.raises(ValueError):
-            CountTable((1,), "guess")
+            CountTable((1, -1))
 
 
 class TestClosedForms:
@@ -131,7 +127,6 @@ class TestSeriesCoeffs:
     def test_reference_sequence(self):
         table = series_coeffs(rational_gf(RationalParam(1, 1)), 8)
         assert table.values == (1, 1, 1, 2, 3, 6, 10, 19, 33)
-        assert table.source == "series"
 
     def test_geometric(self):
         geometric = RationalSeries(Polynomial([1]), Polynomial([1, -1]))
@@ -178,11 +173,6 @@ class TestRecurrence:
                 rec = count_recurrence(q, cls, 10)
                 ser = series_coeffs(class_gf(q, cls), 10)
                 assert enum.values == rec.values == ser.values
-                assert (enum.source, rec.source, ser.source) == (
-                    "enumeration",
-                    "recurrence",
-                    "series",
-                )
 
 
 class TestIdentities:

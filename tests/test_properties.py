@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from rdyck import (
     Composition,
+    DyckPath,
     Factorization,
     PartSet,
     PathClass,
@@ -17,11 +18,9 @@ from rdyck import (
     member,
     oracle_all_height2,
     oracle_generate,
-    parse_path,
     path_to_comp,
     phi,
     phi_inv,
-    render_path,
     semilength,
     valley_slope,
 )
@@ -66,7 +65,7 @@ def test_factorize_inverts_defactorize(fact):
 
 @given(height2_paths())
 def test_parse_render_round_trip(path):
-    assert parse_path(render_path(path)) == path
+    assert DyckPath(path.steps) == path
 
 
 @given(height2_paths())

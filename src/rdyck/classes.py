@@ -14,10 +14,16 @@ Runs of zero peaks demand nothing, so (UD)^n belongs to every family.  The
 empty path is a member of all three; paths of height above two belong to
 none.
 
+``member`` reads the blocks off the path in one scan, which also rejects
+paths of height above two, and then applies the family's rules to them.
+
 ``generate`` builds each family constructively by suffix recursion, while
 ``oracle_all_height2``/``oracle_generate`` give the brute-force route
-(exhaustive search, then filter through ``member``) used to differential-test
-it.  Generated output is deterministic: lexicographic with U before D.
+(exhaustive search, then filter through the membership rules) used to
+differential-test it.  The oracle scans each exhaustive path once and sorts
+it into all three families; only the latest such split (one r, s and n) is
+kept, so asking for the three families at one n in turn filters the paths
+once.  Generated output is deterministic: lexicographic with U before D.
 """
 
 from __future__ import annotations
@@ -28,8 +34,7 @@ from functools import lru_cache
 from rdyck.core import (
     DyckPath,
     RationalParam,
-    factorize,
-    height,
+    _scan_blocks,
     min_valleys,
     step_sort_key,
 )
@@ -53,20 +58,20 @@ class PathClass(Enum):
 
 def member(q: RationalParam, path_class: PathClass, path: DyckPath) -> bool:
     """Test membership of ``path`` in the chosen family for the parameter ``q``."""
-    if not path.steps:
-        return True
-    if height(path) > 2:
-        return False
-    blocks = factorize(path).blocks
+    blocks = _scan_blocks(path.steps)
+    return blocks is not None and _accepts(q, path_class, blocks)
+
+
+def _accepts(q: RationalParam, path_class: PathClass, blocks: tuple[tuple[int, int], ...]) -> bool:
+    """The family's rules on the maximal blocks of a height-<=2 path."""
+    capped = path_class is not PathClass.RATIONAL
     last = len(blocks) - 1
     for i, (peaks, valleys) in enumerate(blocks):
-        if path_class is not PathClass.RATIONAL and peaks > q.r:
+        if capped and peaks > q.r:
             return False
-        if path_class is PathClass.QUASI and i == last:
-            if peaks == q.r or valleys == 0:
-                continue
-        required = min_valleys(q, peaks) if peaks else 0
-        if valleys < required:
+        if path_class is PathClass.QUASI and i == last and (peaks == q.r or valleys == 0):
+            continue
+        if peaks and valleys < min_valleys(q, peaks):
             return False
     return True
 
@@ -135,5 +140,20 @@ def oracle_all_height2(n: int) -> tuple[DyckPath, ...]:
 
 
 def oracle_generate(q: RationalParam, path_class: PathClass, n: int) -> tuple[DyckPath, ...]:
-    """Brute-force counterpart of ``generate``: filter the exhaustive paths through ``member``."""
-    return tuple(p for p in oracle_all_height2(n) if member(q, path_class, p))
+    """Brute-force counterpart of ``generate``: the exhaustive paths that pass the family's rules."""
+    return _oracle_split(q.r, q.s, n)[path_class]
+
+
+@lru_cache(maxsize=1)
+def _oracle_split(r: int, s: int, n: int) -> dict[PathClass, tuple[DyckPath, ...]]:
+    """``oracle_all_height2(n)`` sorted into the three families: one scan per path."""
+    q = RationalParam(r, s)
+    split: dict[PathClass, list[DyckPath]] = {path_class: [] for path_class in PathClass}
+    for path in oracle_all_height2(n):
+        blocks = _scan_blocks(path.steps)
+        if blocks is None:
+            continue
+        for path_class, members in split.items():
+            if _accepts(q, path_class, blocks):
+                members.append(path)
+    return {path_class: tuple(members) for path_class, members in split.items()}

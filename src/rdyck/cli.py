@@ -78,6 +78,17 @@ def _ensure_cap(n: int, force: bool) -> None:
         )
 
 
+def _semilength_arg(text: str) -> int:
+    """argparse type of --n/--nmax: a non-negative integer, else a usage error."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _q(args: argparse.Namespace) -> RationalParam:
     return RationalParam.from_string(args.q)
 
@@ -86,8 +97,9 @@ def _print_counts(fmt: str, tables: dict[str, CountTable]) -> None:
     """Write count tables as comma-separated lines, or as JSON: a list for one
     table, an object keyed by method for several.
 
-    Counts at large semilengths have more digits than Python's default
-    int-to-text limit allows, so the limit is lifted while writing and
+    Both formats are written value by value, so the whole text is never held
+    in memory.  Counts at large semilengths have more digits than Python's
+    default int-to-text limit allows, so the limit is lifted while writing and
     restored afterwards (Python 3.10.0-3.10.6 has no limit).
     """
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
@@ -95,8 +107,13 @@ def _print_counts(fmt: str, tables: dict[str, CountTable]) -> None:
         sys.set_int_max_str_digits(0)
     try:
         if fmt == "json":
-            lists = {method: list(table.values) for method, table in tables.items()}
-            print(json.dumps(lists if len(lists) > 1 else next(iter(lists.values()))))
+            keyed = len(tables) > 1
+            print("{" if keyed else "", end="")
+            for i, (method, table) in enumerate(tables.items()):
+                key = f"{json.dumps(method)}: " if keyed else ""
+                print(f"{', ' if i else ''}{key}[", end="")
+                print(*table.values, sep=", ", end="]")
+            print("}" if keyed else "")
         else:
             for table in tables.values():
                 print(*table.values, sep=",")
@@ -112,8 +129,6 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise ValueError(f"n must be >= 0, got {args.n}")
     _ensure_cap(args.n, args.force)
     paths = generate(_q(args), _CLASSES[args.path_class], args.n)
     if args.format == "json":
@@ -125,8 +140,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    if args.nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {args.nmax}")
     q = _q(args)
     path_class = _CLASSES[args.path_class]
     methods = ["enumeration", "recurrence", "series"] if args.all_methods else [args.method]
@@ -144,8 +157,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    if args.nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {args.nmax}")
     _print_counts(args.format, {"series": series_coeffs(_GFS[args.gf](_q(args)), args.nmax)})
     return 0
 
@@ -170,8 +181,6 @@ def _cmd_phi_inv(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_bijection(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise ValueError(f"n must be >= 0, got {args.n}")
     _ensure_cap(args.n, args.force)
     report = check_bijection(_q(args), args.n)
     print(
@@ -187,8 +196,6 @@ def _cmd_check_bijection(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {args.nmax}")
     _ensure_cap(args.nmax, args.force)
     q = _q(args)
     nmax = args.nmax
@@ -202,17 +209,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             failures += 1
             print(f"FAIL {name}: {detail}")
 
-    for path_class in PathClass:
-        detail = ""
-        for n in range(nmax + 1):
+    # n outermost, so that the oracle filters each semilength's paths once for
+    # all three families; a family is no longer checked after its first failure
+    generation = dict.fromkeys(PathClass, "")
+    for n in range(nmax + 1):
+        for path_class, detail in generation.items():
+            if detail:
+                continue
             built = generate(q, path_class, n)
             checked = oracle_generate(q, path_class, n)
             if built != checked:
                 built_set, checked_set = set(built), set(checked)
                 missing = [p.steps for p in checked if p not in built_set]
                 extra = [p.steps for p in built if p not in checked_set]
-                detail = f"n={n} missing={missing} extra={extra}"
-                break
+                generation[path_class] = f"n={n} missing={missing} extra={extra}"
+
+    for path_class, detail in generation.items():
         report(f"generation {path_class.value}", not detail, detail)
 
         enum = count_enumeration(q, path_class, nmax)
@@ -329,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list every member of one semilength")
     add_class(p)
     add_q(p)
-    p.add_argument("--n", type=int, required=True, help="semilength")
+    p.add_argument("--n", type=_semilength_arg, required=True, help="semilength")
     add_format(p)
     p.add_argument("--force", action="store_true", help="override the safety cap")
     p.set_defaults(handler=_cmd_enumerate)
@@ -337,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count members for semilengths 0..nmax")
     add_class(p)
     add_q(p)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_semilength_arg, required=True)
     p.add_argument("--method", choices=("recurrence", "series", "enumeration"), default="recurrence")
     p.add_argument("--all-methods", action="store_true", help="print all three methods")
     add_format(p)
@@ -347,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="expand one of the closed-form generating functions")
     add_q(p)
     p.add_argument("--gf", choices=sorted(_GFS), required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_semilength_arg, required=True)
     add_format(p)
     p.set_defaults(handler=_cmd_series)
 
@@ -369,13 +381,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-bijection", help="report injectivity/surjectivity at one semilength")
     add_q(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_semilength_arg, required=True)
     p.add_argument("--force", action="store_true", help="override the safety cap")
     p.set_defaults(handler=_cmd_check_bijection)
 
     p = sub.add_parser("verify", help="run every cross-check up to a semilength; exit 0 iff all pass")
     add_q(p)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_semilength_arg, required=True)
     p.add_argument("--force", action="store_true", help="override the safety cap")
     p.set_defaults(handler=_cmd_verify)
 

@@ -24,6 +24,7 @@ after it (:func:`min_valleys`), and a run plus its minimal valleys occupies
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 __all__ = [
@@ -43,6 +44,8 @@ __all__ = [
 ]
 
 _STEP_ORDER = str.maketrans("UD", "01")
+_SWAP_STEPS = str.maketrans("UD", "DU")
+_BLOCK = re.compile("(U*)(D*)")
 
 
 @dataclass(frozen=True)
@@ -148,29 +151,33 @@ def semilength(path: DyckPath) -> int:
 def factorize(path: DyckPath) -> Factorization:
     """Split a nonempty height-<=2 path into its maximal block runs.
 
-    After stripping the outer U...D, the interior oscillates around level 1
-    in two-step moves (anything else would leave [0, 2]), so it reads off as
-    a sequence of UD (peak) and DU (valley) atoms whose maximal runs are the
-    blocks.
+    One scan of the step text (``_scan_blocks``) both checks the height and
+    reads off the runs.
     """
     if not path.steps:
         raise ValueError("the empty path has no block factorization")
-    if height(path) > 2:
+    blocks = _scan_blocks(path.steps)
+    if blocks is None:
         raise ValueError(f"block factorization needs height <= 2: {path.steps!r}")
-    inner = path.steps[1:-1]
-    runs: list[list[int]] = []  # [is_peak, run length]
-    for i in range(0, len(inner), 2):
-        is_peak = 1 if inner[i] == "U" else 0
-        if runs and runs[-1][0] == is_peak:
-            runs[-1][1] += 1
-        else:
-            runs.append([is_peak, 1])
-    if runs and not runs[0][0]:
-        runs.insert(0, [1, 0])
-    if runs and runs[-1][0]:
-        runs.append([0, 0])
-    pairs = tuple((runs[i][1], runs[i + 1][1]) for i in range(0, len(runs), 2))
-    return Factorization(pairs)
+    return Factorization(blocks)
+
+
+def _scan_blocks(steps: str) -> tuple[tuple[int, int], ...] | None:
+    """The maximal (peaks, valleys) runs of a Dyck path's step text, in one scan,
+    or None when the path leaves [0, 2].
+
+    After the opening U the path sits at level 1, and it stays within [0, 2]
+    exactly when every interior step pair at odd offsets is UD (a peak) or DU
+    (a valley), i.e. when the second steps of those pairs are the first steps
+    swapped.  No separate height pass is needed.  The first steps then spell
+    the atoms, and each maximal U*D* stretch of them is one block.  The empty
+    text gives no blocks, like UD.
+    """
+    atoms = steps[1:-1:2]
+    if steps[2:-1:2] != atoms.translate(_SWAP_STEPS):
+        return None
+    runs = _BLOCK.findall(atoms)
+    return tuple((len(peaks), len(valleys)) for peaks, valleys in runs if peaks or valleys)
 
 
 def defactorize(fact: Factorization) -> DyckPath:

@@ -90,16 +90,6 @@ class Polynomial:
         size = max(len(self.coeffs), len(other.coeffs))
         return Polynomial(self[i] - other[i] for i in range(size))
 
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.coeffs or not other.coeffs:
-            return Polynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Polynomial(out)
-
     def __repr__(self) -> str:
         return f"Polynomial({self.coeffs!r})"
 

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import groupby, product
 
 import pytest
 
@@ -9,7 +9,9 @@ from rdyck import (
     PathClass,
     RationalParam,
     defactorize,
+    factorize,
     generate,
+    height,
     member,
     min_valleys,
     oracle_all_height2,
@@ -17,6 +19,63 @@ from rdyck import (
 )
 
 Q_SAMPLE = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 5)]
+
+
+def all_dyck_words(n):
+    """Every Dyck path of semilength n as step text, of any height."""
+    words = []
+
+    def extend(prefix, level, ups):
+        if len(prefix) == 2 * n:
+            words.append(prefix)
+            return
+        if ups < n:
+            extend(prefix + "U", level + 1, ups + 1)
+        if level > 0:
+            extend(prefix + "D", level - 1, ups)
+
+    extend("", 0, 0)
+    return words
+
+
+def reference_blocks(steps):
+    """Maximal (peaks, valleys) runs read off the levels; None above height two.
+
+    Every visit to level 2 is a peak and every return to the axis before the
+    end is a valley; runs of like events are the blocks.
+    """
+    if height(DyckPath(steps)) > 2:
+        return None
+    events = []
+    level = 0
+    for i, ch in enumerate(steps):
+        level += 1 if ch == "U" else -1
+        if level == 2:
+            events.append("peak")
+        elif level == 0 and i < len(steps) - 1:
+            events.append("valley")
+    runs = [[kind, len(list(group))] for kind, group in groupby(events)]
+    if runs and runs[0][0] == "valley":
+        runs.insert(0, ["peak", 0])
+    if runs and runs[-1][0] == "peak":
+        runs.append(["valley", 0])
+    return tuple((runs[i][1], runs[i + 1][1]) for i in range(0, len(runs), 2))
+
+
+def reference_member(q, cls, blocks):
+    """The family rules of the classes module docstring, applied to reference blocks."""
+    if blocks is None:
+        return False
+    for i, (peaks, valleys) in enumerate(blocks):
+        if cls is not PathClass.RATIONAL and peaks > q.r:
+            return False
+        demand = -(-peaks * q.s // q.r)  # ceil(peaks*s/r), 0 for no peaks
+        final = i == len(blocks) - 1
+        if cls is PathClass.QUASI and final and (peaks == q.r or valleys == 0):
+            continue
+        if valleys < demand:
+            return False
+    return True
 
 
 class TestMember:
@@ -60,6 +119,31 @@ class TestMember:
                 arches = DyckPath("UD" * n)
                 for cls in PathClass:
                     assert member(q, cls, arches)
+
+
+class TestSingleScan:
+    # every Dyck path up to semilength 9, of any height: 6918 paths
+    WORDS = [w for n in range(10) for w in all_dyck_words(n)]
+
+    def test_member_matches_reference(self):
+        assert len(self.WORDS) == sum([1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862])
+        assert any(reference_blocks(w) is None for w in self.WORDS)
+        for word in self.WORDS:
+            path = DyckPath(word)
+            blocks = reference_blocks(word)
+            for r, s in Q_SAMPLE:
+                q = RationalParam(r, s)
+                for cls in PathClass:
+                    assert member(q, cls, path) is reference_member(q, cls, blocks), (word, q, cls)
+
+    def test_factorize_matches_reference(self):
+        for word in self.WORDS[1:]:
+            blocks = reference_blocks(word)
+            if blocks is None:
+                with pytest.raises(ValueError):
+                    factorize(DyckPath(word))
+            else:
+                assert factorize(DyckPath(word)).blocks == blocks, word
 
 
 class TestGenerate:

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 import rdyck
-from rdyck import RationalParam, rational_gf, series_coeffs
+import rdyck.cli
+from rdyck import PathClass, RationalParam, count_recurrence, rational_gf, series_coeffs
 from rdyck.cli import run
 
 needs_digit_limit = pytest.mark.skipif(
@@ -138,6 +139,45 @@ class TestDigitLimit:
         assert out == ",".join(map(str, expected)) + "\n"
 
     @needs_digit_limit
+    def test_json_list_past_the_limit(self, capsys):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = invoke(
+                capsys, "series", "--q", "1/1", "--gf", "rational", "--nmax", "3000", "--format", "json"
+            )
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert (code, err) == (0, "")
+        expected = list(series_coeffs(rational_gf(RationalParam(1, 1)), 3000).values)
+        assert out == json.dumps(expected) + "\n"
+
+    @needs_digit_limit
+    def test_json_object_past_the_limit(self, capsys):
+        # --all-methods includes enumeration, which cannot reach the limit, so the
+        # keyed form is written directly from two large tables
+        table = series_coeffs(rational_gf(RationalParam(1, 1)), 3000)
+        tables = {"recurrence": table, "series": table}
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            rdyck.cli._print_counts("json", tables)
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(previous)
+        expected = {method: list(table.values) for method, table in tables.items()}
+        assert capsys.readouterr().out == json.dumps(expected) + "\n"
+
+    def test_json_all_methods_bytes(self, capsys):
+        code, out, _ = invoke(
+            capsys, "count", "--class", "q", "--q", "2/3", "--nmax", "12", "--all-methods", "--format", "json"
+        )
+        assert code == 0
+        values = list(count_recurrence(RationalParam(2, 3), PathClass.QUASI, 12).values)
+        assert out == json.dumps({"enumeration": values, "recurrence": values, "series": values}) + "\n"
+
+    @needs_digit_limit
     def test_huge_nmax_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "series", "--q", "1/1", "--gf", "rational", "--nmax", "9" * 5000)
         assert code == 2
@@ -212,7 +252,64 @@ class TestCheckBijection:
         assert lines[1] == "collision: UUDUDD UUDDUD"
 
 
+VERIFY_3_4 = """\
+ok generation rational
+ok counts rational
+ok generation restricted
+ok counts restricted
+ok generation quasi
+ok counts quasi
+ok intersection
+ok compositions unbounded
+ok compositions bounded
+ok bijection
+"""
+
+VERIFY_3_2 = VERIFY_3_4.replace("ok bijection", "ok collisions")
+
+
 class TestVerify:
+    @pytest.mark.parametrize("qtext,expected", [("3/4", VERIFY_3_4), ("3/2", VERIFY_3_2)], ids=["3/4", "3/2"])
+    def test_full_output(self, capsys, qtext, expected):
+        assert invoke(capsys, "verify", "--q", qtext, "--nmax", "8") == (0, expected, "")
+
+    def test_generation_failure_is_reported_once(self, capsys, monkeypatch):
+        # drop one path from the first restricted n=3 generation only: that call
+        # is the generation check's, which runs before the intersection and
+        # composition checks ask for the same paths
+        real = rdyck.cli.generate
+        dropped = []
+
+        def lossy(q, path_class, n):
+            paths = real(q, path_class, n)
+            if path_class is PathClass.RESTRICTED and n == 3 and not dropped:
+                dropped.append(paths[0].steps)
+                return paths[1:]
+            return paths
+
+        real_oracle = rdyck.cli.oracle_generate
+        oracle_calls = []
+
+        def recorded_oracle(q, path_class, n):
+            oracle_calls.append((path_class, n))
+            return real_oracle(q, path_class, n)
+
+        monkeypatch.setattr(rdyck.cli, "generate", lossy)
+        monkeypatch.setattr(rdyck.cli, "oracle_generate", recorded_oracle)
+        code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
+        assert code == 1
+        failure = f"FAIL generation restricted: n=3 missing={dropped} extra=[]"
+        assert out == VERIFY_3_4.replace("ok generation restricted", failure)
+        assert out.count("FAIL") == 1
+        # semilength by semilength, and the failed family is not checked again
+        expected_calls = [
+            (path_class, n)
+            for n in range(9)
+            for path_class in PathClass
+            if not (path_class is PathClass.RESTRICTED and n > 3)
+        ]
+        assert oracle_calls == expected_calls
+
     @pytest.mark.parametrize("qtext", ["3/4", "1/2", "3/2"])
     def test_passes(self, capsys, qtext):
         code, out, _ = invoke(capsys, "verify", "--q", qtext, "--nmax", "7")
@@ -229,6 +326,22 @@ class TestVerify:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--class", "r", "--q", "3/4", "--n", "-1"],
+            ["count", "--class", "r", "--q", "3/4", "--nmax", "-1"],
+            ["series", "--q", "3/4", "--gf", "rational", "--nmax", "-1"],
+            ["check-bijection", "--q", "1/1", "--n", "-1"],
+            ["verify", "--q", "3/4", "--nmax", "-1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_semilength(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "usage" in err and "non-negative integer" in err
+
     def test_unknown_command(self, capsys):
         code, _, err = invoke(capsys, "bogus")
         assert code == 2

@@ -80,6 +80,12 @@ class TestFactorization:
         with pytest.raises(ValueError):
             factorize(DyckPath("UUUDDD"))
 
+    def test_rejection_messages(self):
+        with pytest.raises(ValueError, match="^the empty path has no block factorization$"):
+            factorize(EMPTY_PATH)
+        with pytest.raises(ValueError, match=r"^block factorization needs height <= 2: 'UUUDDD'$"):
+            factorize(DyckPath("UUUDDD"))
+
     @pytest.mark.parametrize(
         "blocks",
         [((0, 0),), ((1, 2), (0, 1)), ((1, 0), (1, 1)), ((1, -1),), ((-1, 2),)],

@@ -2,29 +2,31 @@
 
 For q = r/s with s = t*r + 1 (t >= 0 an integer, see
 :func:`rdyck.core.valley_slope`), every quasi member of semilength n maps to
-a restricted member of semilength n + t + 1, bijectively.  The map appends
-t + 1 ground arches (UD) and, when the final block of the source violates the
-valley demand, first turns just enough trailing peaks into valleys:
+a restricted member of semilength n + t + 1, bijectively.  The map works on
+the final block (p, v) of the block decomposition
+U (UD)^p1 (DU)^v1 ... (UD)^pk (DU)^vk D of :mod:`rdyck.core`: it moves the
+fewest peaks h of that block into valleys such that, once t + 1 further
+valleys are added, the block meets the valley demand of its p - h peaks, and
+then adds the t + 1 valleys.  The new final block is (p - h, v + h + t + 1),
+with the closed form h = max(0, ceil((p*t - v + 1)/(t + 1)) - 1).
 
-* the empty path maps to (UD)^(t+1), and restricted members map to
-  themselves with the arches appended;
-* a final block (UD)^j D with no valleys becomes (UD)^(j-h) (DU)^h D with h
-  the minimum integer such that h + t + 1 meets the demand of j - h peaks
-  (closed form: ceil((jt+1)/(t+1)) - 1);
-* a final block (UD)^r (DU)^j D with 1 <= j < s - t - 1 becomes
-  (UD)^(r-h) (DU)^(j+h) D with h the minimum integer such that j + h + t + 1
-  meets the demand of r - h peaks (closed form: ceil((rt-j+1)/(t+1)) - 1);
-  for j >= s - t - 1 appending the arches alone already meets the demand.
+* The empty path maps to (UD)^(t+1), and the path UD, which has no blocks,
+  is read as the single block (0, 0).
+* Restricted members need h = 0: the map only adds the t + 1 valleys, i.e.
+  appends t + 1 ground arches UD.
+* Every other quasi member ends in a block (p, 0) or (r, v) with v < s, and
+  h may be positive.
 
-The closed forms assume s = t*r + 1 and are re-derived by direct minimal
-search on every call; disagreement is a hard error.  The inverse strips the
-t + 1 arches off the final block and, when that leaves the valley demand
-unmet, restores peaks (the valley demand of a 0-peak block is taken as 1 so
-the same rules cover all-valley final blocks).
+The closed form assumes s = t*r + 1 and is checked against the direct
+minimal search on every call; disagreement is a hard error.  The inverse
+strips the t + 1 valleys off the final block and, when that leaves the block
+short of its demand (a block of no peaks is taken to demand one valley, so
+the same rule covers all-valley final blocks), packs its peaks and valleys
+back peaks first: min(m, r) peaks, then the remaining valleys.
 
-When s is not t*r + 1 — then t*r + 1 < s < (t+1)*r for t = floor((s-1)/r) —
-the same case rules, minimal-search version, still land in the restricted
-family and still cover it, but they stop being injective.
+When s is not t*r + 1, where t*r + 1 < s < (t+1)*r for t = floor((s-1)/r),
+the same rule, minimal-search version, still lands in the restricted family
+and still covers it, but it stops being injective.
 :func:`check_bijection` measures this on a whole semilength and
 :func:`collision_pair` builds an explicit colliding pair.
 """
@@ -34,12 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from rdyck.classes import PathClass, generate, member
+from rdyck.classes import PathClass, _accepts, generate, member
 from rdyck.core import (
     DyckPath,
     EMPTY_PATH,
     RationalParam,
-    factorize,
+    _render_blocks,
+    _scan_blocks,
     min_valleys,
     path_sort_key,
     semilength,
@@ -80,7 +83,7 @@ def phi(q: RationalParam, path: DyckPath) -> DyckPath:
         raise ValueError(f"the map needs s = t*r + 1; {q} admits no such t")
     if not member(q, PathClass.QUASI, path):
         raise ValueError(f"path is not a quasi-family member for {q}: {path.steps!r}")
-    return _apply(q, t, path, check_closed_form=True)
+    return _apply(q, t, path)
 
 
 def phi_inv(q: RationalParam, path: DyckPath) -> DyckPath:
@@ -88,42 +91,38 @@ def phi_inv(q: RationalParam, path: DyckPath) -> DyckPath:
     t = valley_slope(q)
     if t is None:
         raise ValueError(f"the map needs s = t*r + 1; {q} admits no such t")
-    if not member(q, PathClass.RESTRICTED, path):
+    blocks = _scan_blocks(path.steps)
+    if blocks is None or not _accepts(q, PathClass.RESTRICTED, blocks):
         raise ValueError(f"path is not a restricted-family member for {q}: {path.steps!r}")
     if semilength(path) < t + 1:
         raise ValueError(f"semilength {semilength(path)} is too small to be an image; need >= {t + 1}")
     if path.steps == "UD" * (t + 1):
         return EMPTY_PATH
-    peaks, valleys = factorize(path).blocks[-1]
-    head = path.steps[: len(path.steps) - 2 * (1 + peaks + valleys)]
-    if valleys - (t + 1) >= _demand(q, peaks):
-        mid = "UD" * peaks + "DU" * (valleys - t - 1)
-    elif peaks + valleys - t - 1 <= q.r:
-        mid = "UD" * (peaks + valleys - t - 1)
-    else:
-        mid = "UD" * q.r + "DU" * (peaks + valleys - t - 1 - q.r)
-    source = DyckPath(head + "U" + mid + "D")
+    *head, (peaks, valleys) = blocks
+    valleys -= t + 1
+    if valleys < _demand(q, peaks):
+        peaks, valleys = _peaks_first(q, peaks + valleys)
+    source = DyckPath(_render_blocks((*head, (peaks, valleys))))
     if not member(q, PathClass.QUASI, source):
         raise RuntimeError(f"preimage fell outside the quasi family: {source.steps!r}")
     return source
 
 
 def check_bijection(q: RationalParam, n: int) -> PhiReport:
-    """Apply the case rules to every quasi member of semilength ``n`` and report.
+    """Apply the map to every quasi member of semilength ``n`` and report.
 
     Uses t = floor((s-1)/r).  When s = t*r + 1 the closed-form conversion
-    counts are asserted along the way; otherwise only the minimal-search rules
-    apply, and the report's collision list is how non-injectivity shows up.
+    counts are asserted along the way; otherwise only the minimal search
+    applies, and the report's collision list is how non-injectivity shows up.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     t = (q.s - 1) // q.r
-    exact = q.s == t * q.r + 1
     domain = generate(q, PathClass.QUASI, n)
     codomain = generate(q, PathClass.RESTRICTED, n + t + 1)
     fibers: dict[DyckPath, list[DyckPath]] = {}
     for source in domain:
-        fibers.setdefault(_apply(q, t, source, check_closed_form=exact), []).append(source)
+        fibers.setdefault(_apply(q, t, source), []).append(source)
     collisions: list[tuple[DyckPath, DyckPath]] = []
     for image in sorted(fibers, key=path_sort_key):
         collisions.extend(combinations(fibers[image], 2))
@@ -148,13 +147,13 @@ def collision_pair(q: RationalParam, alpha: DyckPath = EMPTY_PATH) -> tuple[Dyck
     t or t + 1 and sum to more than t*(r-1)).  Both paths extend ``alpha``
     (any restricted member, possibly empty):
 
-    * one ends with the tight block (UD)^a (DU)^demand(a) D, which the map
-      merely appends to;
+    * one ends with the tight block (a, demand(a)), to which the map only adds
+      t + 1 valleys;
     * the other packs the same semilength into peaks first — with
-      m = a + demand(a), it ends with (UD)^m D when m <= r and with
-      (UD)^r (DU)^(m-r) D otherwise — and the minimal-search conversion takes
-      it to the very same image (that minimality lands exactly on the block
-      (a, demand(a)) is equivalent to the demand gap at a being t + 1).
+      m = a + demand(a), it ends with the block (min(m, r), max(m - r, 0)) —
+      and the minimal-search conversion takes it to the very same image (that
+      minimality lands exactly on the block (a, demand(a)) is equivalent to
+      the demand gap at a being t + 1).
 
     The pair is verified (distinct, both quasi members, equal images) before
     being returned.
@@ -172,12 +171,8 @@ def collision_pair(q: RationalParam, alpha: DyckPath = EMPTY_PATH) -> tuple[Dyck
     if gap_index is None:
         raise RuntimeError(f"no valley-demand gap of {t + 1} found for {q}")
     tight_valleys = min_valleys(q, gap_index)
-    m = gap_index + tight_valleys
-    if m <= q.r:
-        swollen_tail = "U" + "UD" * m + "D"
-    else:
-        swollen_tail = "U" + "UD" * q.r + "DU" * (m - q.r) + "D"
-    tight_tail = "U" + "UD" * gap_index + "DU" * tight_valleys + "D"
+    swollen_tail = _render_blocks((_peaks_first(q, gap_index + tight_valleys),))
+    tight_tail = _render_blocks(((gap_index, tight_valleys),))
     swollen = DyckPath(alpha.steps + swollen_tail)
     tight = DyckPath(alpha.steps + tight_tail)
     for candidate in (swollen, tight):
@@ -185,20 +180,25 @@ def collision_pair(q: RationalParam, alpha: DyckPath = EMPTY_PATH) -> tuple[Dyck
             raise RuntimeError(f"constructed path fell outside the quasi family: {candidate.steps!r}")
     if swollen == tight:
         raise RuntimeError("constructed pair is not distinct")
-    if _apply(q, t, swollen, False) != _apply(q, t, tight, False):
+    if _apply(q, t, swollen) != _apply(q, t, tight):
         raise RuntimeError("constructed pair does not collide")
     return (swollen, tight)
 
 
 def _demand(q: RationalParam, peaks: int) -> int:
-    # Valley demand with the 0-peak extension used by the case rules.
+    # Valley demand with the 0-peak extension used by the map and its inverse.
     return min_valleys(q, peaks) if peaks else 1
 
 
-def _min_conversion(q: RationalParam, t: int, peaks: int, base: int) -> int:
-    """Smallest h >= 0 with base + h + t + 1 >= the demand of peaks - h."""
+def _peaks_first(q: RationalParam, size: int) -> tuple[int, int]:
+    # A block of ``size`` peaks and valleys together, holding as many peaks as the cap allows.
+    return min(size, q.r), max(size - q.r, 0)
+
+
+def _min_conversion(q: RationalParam, t: int, peaks: int, valleys: int) -> int:
+    """Smallest h >= 0 with valleys + h + t + 1 >= the demand of peaks - h."""
     h = 0
-    while base + h + t + 1 < _demand(q, peaks - h):
+    while valleys + h + t + 1 < _demand(q, peaks - h):
         h += 1
     return h
 
@@ -207,31 +207,18 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _apply(q: RationalParam, t: int, path: DyckPath, check_closed_form: bool) -> DyckPath:
-    tail = "UD" * (t + 1)
+def _apply(q: RationalParam, t: int, path: DyckPath) -> DyckPath:
     if not path.steps:
-        text = tail
-    elif member(q, PathClass.RESTRICTED, path):
-        text = path.steps + tail
+        text = "UD" * (t + 1)
     else:
-        peaks, valleys = factorize(path).blocks[-1]
-        if valleys == 0:
-            h = _min_conversion(q, t, peaks, 0)
-            if check_closed_form and h != _ceil_div(peaks * t + 1, t + 1) - 1:
-                raise RuntimeError("conversion count: closed form and minimal search disagree")
-            head = path.steps[: len(path.steps) - 2 * (peaks + 1)]
-            text = head + "U" + "UD" * (peaks - h) + "DU" * h + "D" + tail
-        else:
-            if peaks != q.r:
-                raise RuntimeError(f"unexpected final block {(peaks, valleys)} outside the restricted family")
-            if valleys >= q.s - t - 1:
-                text = path.steps + tail
-            else:
-                h = _min_conversion(q, t, q.r, valleys)
-                if check_closed_form and h != _ceil_div(q.r * t - valleys + 1, t + 1) - 1:
-                    raise RuntimeError("conversion count: closed form and minimal search disagree")
-                head = path.steps[: len(path.steps) - 2 * (1 + q.r + valleys)]
-                text = head + "U" + "UD" * (q.r - h) + "DU" * (valleys + h) + "D" + tail
+        # UD has no blocks; it is read as the single block (0, 0)
+        *head, (peaks, valleys) = _scan_blocks(path.steps) or ((0, 0),)
+        if valleys and peaks != q.r and valleys < _demand(q, peaks):
+            raise RuntimeError(f"unexpected final block {(peaks, valleys)} outside the restricted family")
+        h = _min_conversion(q, t, peaks, valleys)
+        if q.s == t * q.r + 1 and h != max(0, _ceil_div(peaks * t - valleys + 1, t + 1) - 1):
+            raise RuntimeError("conversion count: closed form and minimal search disagree")
+        text = _render_blocks((*head, (peaks - h, valleys + h + t + 1)))
     image = DyckPath(text)
     if not member(q, PathClass.RESTRICTED, image):
         raise RuntimeError(f"image fell outside the restricted family: {text!r}")

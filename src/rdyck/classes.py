@@ -113,13 +113,14 @@ def _family_strings(r: int, s: int, tag: str, n: int) -> tuple[str, ...]:
     return tuple(sorted(out, key=step_sort_key))
 
 
-@lru_cache(maxsize=None)
 def oracle_all_height2(n: int) -> tuple[DyckPath, ...]:
     """Every Dyck path of semilength ``n`` and height <= 2, by exhaustive search.
 
     Backtracks over all step choices, pruning only structurally impossible
     prefixes (below the axis, above level two, or too high to return in the
-    remaining steps).  Intended for small n; there are 2^(n-1) results.
+    remaining steps).  Intended for small n; there are 2^(n-1) results.  The
+    search tries U before D at every step, so the paths come out sorted
+    lexicographically with U < D and need no sort.
     """
     if n < 0:
         raise ValueError(f"semilength must be >= 0, got {n}")
@@ -136,7 +137,7 @@ def oracle_all_height2(n: int) -> tuple[DyckPath, ...]:
             extend(prefix + "D", level - 1, remaining - 1)
 
     extend("", 0, 2 * n)
-    return tuple(DyckPath(s) for s in sorted(found, key=step_sort_key))
+    return tuple(DyckPath(s) for s in found)
 
 
 def oracle_generate(q: RationalParam, path_class: PathClass, n: int) -> tuple[DyckPath, ...]:

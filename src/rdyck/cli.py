@@ -3,7 +3,8 @@
 Results go to stdout, diagnostics to stderr with an ``error:`` prefix.
 Exit codes: 0 success, 1 domain error (bad path, non-member input to a
 mapping), 2 usage error (including the enumeration safety cap, default 20,
-raised with --force or the RDYCK_MAX_N environment variable).
+raised with --force or the RDYCK_MAX_N environment variable, and an
+RDYCK_MAX_N that is not a non-negative integer, whatever the command).
 """
 
 from __future__ import annotations
@@ -56,30 +57,31 @@ _GFS = {
 }
 
 
-class _CapExceeded(Exception):
+class _UsageError(Exception):
     pass
 
 
 def _cap() -> int:
+    """The enumeration safety cap: RDYCK_MAX_N when set, else the default."""
     raw = os.environ.get("RDYCK_MAX_N", "")
     if not raw:
         return _DEFAULT_CAP
     try:
-        return int(raw)
-    except ValueError:
-        raise _CapExceeded(f"RDYCK_MAX_N is not an integer: {raw!r}") from None
+        return _semilength_arg(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"RDYCK_MAX_N: {exc}") from None
 
 
-def _ensure_cap(n: int, force: bool) -> None:
-    cap = _cap()
-    if n > cap and not force:
-        raise _CapExceeded(
-            f"n={n} exceeds the enumeration safety cap ({cap}); pass --force or raise RDYCK_MAX_N"
+def _ensure_cap(args: argparse.Namespace, n: int) -> None:
+    if n > args.cap and not args.force:
+        raise _UsageError(
+            f"n={n} exceeds the enumeration safety cap ({args.cap}); pass --force or raise RDYCK_MAX_N"
         )
 
 
 def _semilength_arg(text: str) -> int:
-    """argparse type of --n/--nmax: a non-negative integer, else a usage error."""
+    """argparse type of --n/--nmax, also used for RDYCK_MAX_N: a non-negative
+    integer, else a usage error."""
     try:
         value = int(text)
         if value >= 0:
@@ -129,10 +131,14 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    _ensure_cap(args.n, args.force)
+    _ensure_cap(args, args.n)
     paths = generate(_q(args), _CLASSES[args.path_class], args.n)
     if args.format == "json":
-        print(json.dumps([p.steps for p in paths]))
+        # item by item, so the whole text is never held in memory
+        print("[", end="")
+        for i, p in enumerate(paths):
+            print(", " if i else "", json.dumps(p.steps), sep="", end="")
+        print("]")
     else:
         for p in paths:
             print(p.steps)
@@ -146,7 +152,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     tables = {}
     for method in methods:
         if method == "enumeration":
-            _ensure_cap(args.nmax, args.force)
+            _ensure_cap(args, args.nmax)
             tables[method] = count_enumeration(q, path_class, args.nmax)
         elif method == "recurrence":
             tables[method] = count_recurrence(q, path_class, args.nmax)
@@ -181,7 +187,7 @@ def _cmd_phi_inv(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_bijection(args: argparse.Namespace) -> int:
-    _ensure_cap(args.n, args.force)
+    _ensure_cap(args, args.n)
     report = check_bijection(_q(args), args.n)
     print(
         f"q={report.q} n={report.n} t={report.t} "
@@ -196,7 +202,7 @@ def _cmd_check_bijection(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _ensure_cap(args.nmax, args.force)
+    _ensure_cap(args, args.nmax)
     q = _q(args)
     nmax = args.nmax
     failures = 0
@@ -402,8 +408,9 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        args.cap = _cap()
         return args.handler(args)
-    except _CapExceeded as exc:
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from rdyck.classes import PathClass, member
-from rdyck.core import DyckPath, RationalParam, min_valleys, part_size
+from rdyck.classes import PathClass, _accepts
+from rdyck.core import DyckPath, RationalParam, _scan_blocks, min_valleys, part_size
 
 __all__ = [
     "Composition",
@@ -124,43 +124,24 @@ def comp_to_path(q: RationalParam, comp: Composition) -> DyckPath:
 def path_to_comp(q: RationalParam, path: DyckPath) -> Composition:
     """Recover the composition whose image is ``path``; inverse of comp_to_path.
 
-    Greedy left-to-right parse of the ground-level factors: a bare UD arch is
-    the part 1, and a factor U(UD)^p D opens the part p + ceil(ps/r), claiming
-    the ceil(ps/r) - 1 arches after it as its remaining valleys (membership
-    guarantees they are there).  The final factor is the closing arch and
-    carries no part.
+    Read off the maximal blocks: a block of p >= 1 peaks and v valleys holds
+    the part p + ceil(ps/r) followed by v - ceil(ps/r) parts 1 (membership
+    guarantees v >= ceil(ps/r)), and a leading block of no peaks and v valleys
+    holds v parts 1.  The closing UD arch adds no valley, so it carries no
+    part.
     """
     if not path.steps:
         raise ValueError("the empty path corresponds to no composition")
-    if not member(q, PathClass.RATIONAL, path):
+    blocks = _scan_blocks(path.steps)
+    if blocks is None or not _accepts(q, PathClass.RATIONAL, blocks):
         raise ValueError(f"path is not a rational-family member for {q}: {path.steps!r}")
-    factors = _ground_factors(path)
-    factors.pop()  # the closing UD arch, guaranteed by membership
     parts = []
-    index = 0
-    while index < len(factors):
-        factor = factors[index]
-        if factor == "UD":
-            parts.append(1)
-            index += 1
-        else:
-            peaks = (len(factor) - 2) // 2
-            valleys = min_valleys(q, peaks)
-            parts.append(peaks + valleys)
-            index += valleys  # this factor plus its valleys-1 trailing arches
+    for peaks, valleys in blocks:
+        if peaks:
+            parts.append(part_size(q, peaks))
+            valleys -= min_valleys(q, peaks)
+        parts.extend([1] * valleys)
     return Composition(tuple(parts))
-
-
-def _ground_factors(path: DyckPath) -> list[str]:
-    # Split at every return to the x-axis.
-    out = []
-    level = start = 0
-    for i, ch in enumerate(path.steps):
-        level += 1 if ch == "U" else -1
-        if level == 0:
-            out.append(path.steps[start : i + 1])
-            start = i + 1
-    return out
 
 
 def _peaks_for(q: RationalParam, size: int) -> int:

@@ -182,8 +182,17 @@ def _scan_blocks(steps: str) -> tuple[tuple[int, int], ...] | None:
 
 def defactorize(fact: Factorization) -> DyckPath:
     """Rebuild the unique path with the given blocks; inverse of factorize."""
-    mid = "".join("UD" * peaks + "DU" * valleys for peaks, valleys in fact.blocks)
-    return DyckPath(f"U{mid}D")
+    return DyckPath(_render_blocks(fact.blocks))
+
+
+def _render_blocks(blocks: tuple[tuple[int, int], ...]) -> str:
+    """The step text U (UD)^p1 (DU)^v1 ... (UD)^pk (DU)^vk D of the given runs.
+
+    Maximality is not checked: the maps of :mod:`rdyck.bijection` also build
+    final blocks (p, 0), and (0, 0) for the path UD.
+    """
+    mid = "".join("UD" * peaks + "DU" * valleys for peaks, valleys in blocks)
+    return f"U{mid}D"
 
 
 def min_valleys(q: RationalParam, peaks: int) -> int:

@@ -7,7 +7,7 @@ import pytest
 
 import rdyck
 import rdyck.cli
-from rdyck import PathClass, RationalParam, count_recurrence, rational_gf, series_coeffs
+from rdyck import PathClass, RationalParam, count_recurrence, generate, rational_gf, series_coeffs
 from rdyck.cli import run
 
 needs_digit_limit = pytest.mark.skipif(
@@ -63,6 +63,15 @@ class TestEnumerate:
         )
         assert code == 0
         assert json.loads(out) == ["UUDDUDUD", "UDUDUDUD"]
+
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_json_bytes(self, capsys, n):
+        q = RationalParam(2, 3)
+        code, out, _ = invoke(
+            capsys, "enumerate", "--class", "q", "--q", "2/3", "--n", str(n), "--format", "json"
+        )
+        assert code == 0
+        assert out == json.dumps([p.steps for p in generate(q, PathClass.QUASI, n)]) + "\n"
 
     def test_deterministic(self, capsys):
         first = invoke(capsys, "enumerate", "--class", "q", "--q", "2/3", "--n", "7")
@@ -341,6 +350,14 @@ class TestUsageErrors:
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, "")
         assert "usage" in err and "non-negative integer" in err
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_cap_variable(self, capsys, monkeypatch, value):
+        # checked before any command runs, also for commands the cap never limits
+        monkeypatch.setenv("RDYCK_MAX_N", value)
+        code, out, err = invoke(capsys, "member", "--class", "r", "--q", "3/4", "UD")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "RDYCK_MAX_N" in err
 
     def test_unknown_command(self, capsys):
         code, _, err = invoke(capsys, "bogus")

@@ -13,7 +13,7 @@ A CLI (``rdyck``) exposes every operation.
 """
 
 from rdyck.bijection import PhiReport, check_bijection, collision_pair, phi, phi_inv
-from rdyck.classes import PathClass, generate, member, oracle_all_height2, oracle_generate
+from rdyck.classes import PathClass, generate, iter_generate, member, oracle_all_height2, oracle_generate
 from rdyck.compositions import (
     Composition,
     PartSet,
@@ -76,6 +76,7 @@ __all__ = [
     "factorize",
     "generate",
     "height",
+    "iter_generate",
     "member",
     "min_valleys",
     "oracle_all_height2",

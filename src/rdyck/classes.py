@@ -17,17 +17,24 @@ none.
 ``member`` reads the blocks off the path in one scan, which also rejects
 paths of height above two, and then applies the family's rules to them.
 
-``generate`` builds each family constructively by suffix recursion, while
+``iter_generate`` builds each family constructively by suffix recursion and
+yields its members one at a time, lexicographically with U before D;
+``generate`` collects them into a tuple.  The recursion itself fixes that
+order (the arch, then lead-ins with more peaks before fewer, then UD + tail),
+so a depth-first walk yields the members sorted: nothing is sorted, kept in a
+set or cached, and memory stays at one stack of prefixes plus one path.
+
 ``oracle_all_height2``/``oracle_generate`` give the brute-force route
 (exhaustive search, then filter through the membership rules) used to
 differential-test it.  The oracle scans each exhaustive path once and sorts
 it into all three families; only the latest such split (one r, s and n) is
 kept, so asking for the three families at one n in turn filters the paths
-once.  Generated output is deterministic: lexicographic with U before D.
+once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
 
@@ -36,12 +43,13 @@ from rdyck.core import (
     RationalParam,
     _scan_blocks,
     min_valleys,
-    step_sort_key,
+    part_size,
 )
 
 __all__ = [
     "PathClass",
     "generate",
+    "iter_generate",
     "member",
     "oracle_all_height2",
     "oracle_generate",
@@ -79,6 +87,16 @@ def _accepts(q: RationalParam, path_class: PathClass, blocks: tuple[tuple[int, i
 def generate(q: RationalParam, path_class: PathClass, n: int) -> tuple[DyckPath, ...]:
     """All members of semilength ``n``, sorted lexicographically with U < D.
 
+    The members of :func:`iter_generate`, collected into a tuple.  The suffix
+    recursion yields them already in this order, so nothing is sorted, and
+    nothing is cached between calls.
+    """
+    return tuple(iter_generate(q, path_class, n))
+
+
+def iter_generate(q: RationalParam, path_class: PathClass, n: int) -> Iterator[DyckPath]:
+    """The members of semilength ``n`` one at a time, lexicographically with U < D.
+
     Built by suffix recursion: a member is UD followed by any member of
     semilength n-1, or a lead-in U(UD)^p(DU)^(ceil(ps/r)-1)D followed by a
     nonempty member (the lead-in's closing D and the suffix's opening U supply
@@ -86,31 +104,55 @@ def generate(q: RationalParam, path_class: PathClass, n: int) -> tuple[DyckPath,
     the rational family.  The quasi family additionally admits, for each
     2 <= n <= r+s, the single path U w D where w is the semilength-(n-1)
     prefix of (UD)^r (DU)^(s-1).
+
+    Each path is built only when it is asked for, so memory stays at one
+    stack of prefixes plus one path.  A negative ``n`` raises ``ValueError``
+    at the call, not at the first ``next``.
     """
     if n < 0:
         raise ValueError(f"semilength must be >= 0, got {n}")
-    return tuple(DyckPath(s) for s in _family_strings(q.r, q.s, path_class.value, n))
+    return map(DyckPath, _member_steps(q, path_class, n))
 
 
-@lru_cache(maxsize=None)
-def _family_strings(r: int, s: int, tag: str, n: int) -> tuple[str, ...]:
-    q = RationalParam(r, s)
-    if n == 0:
-        return ("",)
-    out = {"UD" + tail for tail in _family_strings(r, s, tag, n - 1)}
-    if tag == "quasi" and 2 <= n <= r + s:
-        arch = "UD" * r + "DU" * (s - 1)
-        out.add("U" + arch[: 2 * (n - 1)] + "D")
-    p = 1
-    while tag == "rational" or p <= r:
-        v = min_valleys(q, p)
-        m = n - p - v
-        if m < 1:
+def _member_steps(q: RationalParam, path_class: PathClass, n: int) -> Iterator[str]:
+    """The step text of every member of semilength ``n``, in U < D order.
+
+    A depth-first walk of the suffix recursion on an explicit stack of
+    (prefix, remaining semilength) pairs.  Among the members that share a
+    prefix, with m semilength left:
+
+    * the quasi arch U(UD)^k(DU)^jD, k = min(r, m-1), comes first: a lead-in
+      with p peaks has p <= m-2, and p < k or else the arch does not exist
+      (p = r = k needs m > r+s), so the two first differ at offset 1+2p,
+      where the arch has U and the lead-in D;
+    * a lead-in with p peaks comes before one with p' < p peaks, since they
+      first differ at offset 1+2p', where the first has U and the second D;
+    * every lead-in starts UU, so all come before UD + tail.
+
+    So the arch is yielded at once, and UD + tail is pushed first and the
+    lead-ins by ascending p, for the stack to pop them in order.  The stack
+    holds only the pending siblings along the current branch.
+    """
+    arch = "UD" * q.r + "DU" * (q.s - 1) if path_class is PathClass.QUASI else ""
+    leads = []
+    for p in range(1, n if path_class is PathClass.RATIONAL else q.r + 1):
+        size = part_size(q, p)
+        if size >= n:
             break
-        lead = "U" + "UD" * p + "DU" * (v - 1) + "D"
-        out.update(lead + tail for tail in _family_strings(r, s, tag, m))
-        p += 1
-    return tuple(sorted(out, key=step_sort_key))
+        leads.append((f"U{'UD' * p}{'DU' * (size - p - 1)}D", size))
+    stack = [("", n)]
+    while stack:
+        prefix, m = stack.pop()
+        if m == 0:
+            yield prefix
+            continue
+        if arch and 2 <= m <= q.r + q.s:
+            yield f"{prefix}U{arch[: 2 * (m - 1)]}D"
+        stack.append((prefix + "UD", m - 1))
+        for lead, size in leads:
+            if size >= m:
+                break
+            stack.append((prefix + lead, m - size))
 
 
 def oracle_all_height2(n: int) -> tuple[DyckPath, ...]:

@@ -15,7 +15,7 @@ import os
 import sys
 
 from rdyck.bijection import check_bijection, collision_pair, phi, phi_inv
-from rdyck.classes import PathClass, generate, member, oracle_generate
+from rdyck.classes import PathClass, generate, iter_generate, member, oracle_generate
 from rdyck.compositions import (
     Composition,
     PartSet,
@@ -132,9 +132,10 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _ensure_cap(args, args.n)
-    paths = generate(_q(args), _CLASSES[args.path_class], args.n)
+    paths = iter_generate(_q(args), _CLASSES[args.path_class], args.n)
     if args.format == "json":
-        # item by item, so the whole text is never held in memory
+        # item by item from the stream, so neither the paths nor the text is
+        # ever held in memory
         print("[", end="")
         for i, p in enumerate(paths):
             print(", " if i else "", json.dumps(p.steps), sep="", end="")

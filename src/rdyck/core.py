@@ -39,7 +39,6 @@ __all__ = [
     "part_size",
     "path_sort_key",
     "semilength",
-    "step_sort_key",
     "valley_slope",
 ]
 
@@ -55,6 +54,12 @@ class DyckPath:
     steps: str = ""
 
     def __post_init__(self) -> None:
+        # Deleting every UD twice empties the text exactly when it is a Dyck
+        # path of height <= 2, which is all this package builds; anything
+        # else takes the level walk, which accepts taller paths and names
+        # the fault of a bad one.
+        if not self.steps.replace("UD", "").replace("UD", ""):
+            return
         level = 0
         for ch in self.steps:
             if ch == "U":
@@ -226,11 +231,6 @@ def valley_slope(q: RationalParam) -> int | None:
     return None
 
 
-def step_sort_key(steps: str) -> str:
-    """Sort key for step text ordering U before D."""
-    return steps.translate(_STEP_ORDER)
-
-
 def path_sort_key(path: DyckPath) -> tuple[int, str]:
     """Sort key ordering paths by semilength, then lexicographically with U < D."""
-    return (len(path.steps), step_sort_key(path.steps))
+    return (len(path.steps), path.steps.translate(_STEP_ORDER))

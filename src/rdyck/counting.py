@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from rdyck.classes import PathClass, generate
+from rdyck.classes import PathClass, iter_generate
 from rdyck.core import RationalParam, part_size
 
 __all__ = [
@@ -260,10 +260,14 @@ def count_recurrence(q: RationalParam, path_class: PathClass, order: int) -> Cou
 
 
 def count_enumeration(q: RationalParam, path_class: PathClass, order: int) -> CountTable:
-    """Counts by literally generating every set; the slow cross-check."""
+    """Counts by literally generating every set; the slow cross-check.
+
+    Each member is built and validated, then counted and dropped, so no set is
+    held in memory.
+    """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    values = tuple(len(generate(q, path_class, n)) for n in range(order + 1))
+    values = tuple(sum(1 for _ in iter_generate(q, path_class, n)) for n in range(order + 1))
     return CountTable(values)
 
 

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+from functools import lru_cache
 from itertools import groupby, product
 
 import pytest
@@ -12,6 +15,7 @@ from rdyck import (
     factorize,
     generate,
     height,
+    iter_generate,
     member,
     min_valleys,
     oracle_all_height2,
@@ -232,6 +236,65 @@ class TestGenerate:
                 assert not (ud_branch & arch_branch)
                 assert not (ud_branch & lead_branch)
                 assert not (arch_branch & lead_branch)
+
+
+@lru_cache(maxsize=None)
+def reference_family(r, s, tag, n):
+    """The suffix grammar as sets, sorted at every semilength: the former
+    implementation of ``generate``, kept here as the reference for its order."""
+    q = RationalParam(r, s)
+    if n == 0:
+        return ("",)
+    out = {"UD" + tail for tail in reference_family(r, s, tag, n - 1)}
+    if tag == "quasi" and 2 <= n <= r + s:
+        arch = "UD" * r + "DU" * (s - 1)
+        out.add("U" + arch[: 2 * (n - 1)] + "D")
+    p = 1
+    while tag == "rational" or p <= r:
+        v = min_valleys(q, p)
+        m = n - p - v
+        if m < 1:
+            break
+        lead = "U" + "UD" * p + "DU" * (v - 1) + "D"
+        out.update(lead + tail for tail in reference_family(r, s, tag, m))
+        p += 1
+    return tuple(sorted(out, key=lambda text: text.translate(str.maketrans("UD", "01"))))
+
+
+class TestStreaming:
+    def test_matches_sorted_reference(self):
+        for r in range(1, 7):
+            for s in range(1, 9):
+                if math.gcd(r, s) != 1:
+                    continue
+                q = RationalParam(r, s)
+                for cls in PathClass:
+                    for n in range(15):
+                        got = tuple(p.steps for p in iter_generate(q, cls, n))
+                        assert got == reference_family(r, s, cls.value, n), (q, cls, n)
+
+    def test_first_member_without_the_family(self):
+        # semilength 60 has far too many members to list; the lex-smallest one
+        # takes the longest peak run first: eleven 2-peak lead-ins (size 5),
+        # then a 1-peak lead-in (size 3), then UDUD
+        q = RationalParam(2, 3)
+        first = next(iter_generate(q, PathClass.RESTRICTED, 60))
+        assert first.steps == "UUDUDDUDUD" * 11 + "UUDDUD" + "UDUD"
+        assert member(q, PathClass.RESTRICTED, first)
+
+    def test_negative_semilength_raises_at_the_call(self):
+        with pytest.raises(ValueError):
+            iter_generate(RationalParam(1, 1), PathClass.QUASI, -1)
+
+    def test_memory_is_bounded(self):
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in iter_generate(RationalParam(1, 1), PathClass.QUASI, 22))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count > 10_000
+        assert peak < 1 << 20
 
 
 class TestOracle:

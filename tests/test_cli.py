@@ -186,6 +186,24 @@ class TestDigitLimit:
         values = list(count_recurrence(RationalParam(2, 3), PathClass.QUASI, 12).values)
         assert out == json.dumps({"enumeration": values, "recurrence": values, "series": values}) + "\n"
 
+    @pytest.mark.parametrize("fmt", ["lines", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--class", "q", "--q", "2/3", "--nmax", "12", "--all-methods"),
+            ("count", "--class", "r", "--q", "3/4", "--nmax", "40"),
+            ("series", "--q", "1/1", "--gf", "rational", "--nmax", "40"),
+        ],
+    )
+    def test_python_without_the_limit(self, capsys, monkeypatch, argv, fmt):
+        # Python 3.10.0-3.10.6 has neither function; the output must not change
+        argv = (*argv, "--format", fmt)
+        expected = invoke(capsys, *argv)
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        assert invoke(capsys, *argv) == expected
+        assert expected[0] == 0
+
     @needs_digit_limit
     def test_huge_nmax_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "series", "--q", "1/1", "--gf", "rational", "--nmax", "9" * 5000)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from rdyck import (
@@ -36,6 +38,32 @@ class TestParseRender:
         for n in range(7):
             for p in oracle_all_height2(n):
                 assert DyckPath(p.steps) == p
+
+    def test_verdicts_and_messages(self):
+        # every word over {U, D, x} up to length 9, against a plain level walk
+        def reference(text):
+            level = 0
+            for ch in text:
+                if ch == "U":
+                    level += 1
+                elif ch == "D":
+                    level -= 1
+                    if level < 0:
+                        return f"path dips below the x-axis: {text!r}"
+                else:
+                    return f"invalid step {ch!r}; expected 'U' or 'D'"
+            if level:
+                return f"unbalanced path ({level} unmatched up steps): {text!r}"
+            return None
+
+        for length in range(10):
+            for letters in product("UDx", repeat=length):
+                text = "".join(letters)
+                try:
+                    verdict = None if DyckPath(text).steps == text else "altered"
+                except ValueError as exc:
+                    verdict = str(exc)
+                assert verdict == reference(text), text
 
 
 class TestMeasures:

@@ -158,9 +158,9 @@ def collision_pair(q: RationalParam, alpha: DyckPath = EMPTY_PATH) -> tuple[Dyck
     The pair is verified (distinct, both quasi members, equal images) before
     being returned.
     """
-    t = (q.s - 1) // q.r
-    if q.s == t * q.r + 1:
+    if valley_slope(q) is not None:
         raise ValueError(f"the map is a bijection for {q}; no collisions exist")
+    t = (q.s - 1) // q.r
     if not member(q, PathClass.RESTRICTED, alpha):
         raise ValueError(f"prefix must be a restricted-family member: {alpha.steps!r}")
     gap_index = None

@@ -24,6 +24,12 @@ order (the arch, then lead-ins with more peaks before fewer, then UD + tail),
 so a depth-first walk yields the members sorted: nothing is sorted, kept in a
 set or cached, and memory stays at one stack of prefixes plus one path.
 
+``enumerate`` and ``count_enumeration`` need only the step text, so they take
+the same walk as blocks: lists of at most ``_BLOCK_SIZE`` texts, each block
+checked by the ``DyckPath`` predicate in one pass over its joined text (see
+``_member_blocks``).  Every member is still validated, no ``DyckPath`` is
+built for it, and memory stays at one stack of prefixes plus one block.
+
 ``oracle_all_height2``/``oracle_generate`` give the brute-force route
 (exhaustive search, then filter through the membership rules) used to
 differential-test it.  The oracle scans each exhaustive path once and sorts
@@ -37,10 +43,12 @@ from __future__ import annotations
 from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
+from itertools import islice
 
 from rdyck.core import (
     DyckPath,
     RationalParam,
+    _low_paths,
     _scan_blocks,
     min_valleys,
     part_size,
@@ -54,6 +62,10 @@ __all__ = [
     "oracle_all_height2",
     "oracle_generate",
 ]
+
+# Step texts per block of _member_blocks: enough to spread the per-block work
+# thin, few enough that a block stays a few tens of kilobytes.
+_BLOCK_SIZE = 256
 
 
 class PathClass(Enum):
@@ -106,12 +118,32 @@ def iter_generate(q: RationalParam, path_class: PathClass, n: int) -> Iterator[D
     prefix of (UD)^r (DU)^(s-1).
 
     Each path is built only when it is asked for, so memory stays at one
-    stack of prefixes plus one path.  A negative ``n`` raises ``ValueError``
+    stack of prefixes plus one path.  Callers that need only the step text
+    (``enumerate``, ``count_enumeration``) take the same walk in validated
+    blocks of text instead (``_member_blocks``): one stack plus one block,
+    and no ``DyckPath`` per member.  A negative ``n`` raises ``ValueError``
     at the call, not at the first ``next``.
     """
     if n < 0:
         raise ValueError(f"semilength must be >= 0, got {n}")
     return map(DyckPath, _member_steps(q, path_class, n))
+
+
+def _member_blocks(q: RationalParam, path_class: PathClass, n: int) -> Iterator[list[str]]:
+    """The step texts of :func:`iter_generate`, in order, as lists of at most
+    ``_BLOCK_SIZE``; ``n`` must be >= 0.
+
+    Each block is checked by the ``DyckPath`` predicate in one pass over its
+    joined text.  A block that fails it is checked again text by text through
+    ``DyckPath``, so a bad text raises the constructor's own ``ValueError``
+    before any of its block is yielded, and a valid taller path passes.
+    """
+    steps = _member_steps(q, path_class, n)
+    while block := list(islice(steps, _BLOCK_SIZE)):
+        if not _low_paths("\n".join(block), len(block)):
+            for text in block:
+                DyckPath(text)
+        yield block
 
 
 def _member_steps(q: RationalParam, path_class: PathClass, n: int) -> Iterator[str]:
@@ -132,8 +164,16 @@ def _member_steps(q: RationalParam, path_class: PathClass, n: int) -> Iterator[s
     So the arch is yielded at once, and UD + tail is pushed first and the
     lead-ins by ascending p, for the stack to pop them in order.  The stack
     holds only the pending siblings along the current branch.
+
+    A lead-in takes at least part_size(1) of the semilength and must leave
+    some over, so with m <= part_size(1) left no lead-in fits, at this node
+    or below it.  Outside the quasi family the only member left is then
+    (UD)^m, and it is yielded at once instead of through m one-child nodes.
+    The quasi arch still fits down to m = 2, so quasi walks on to m = 0.
     """
-    arch = "UD" * q.r + "DU" * (q.s - 1) if path_class is PathClass.QUASI else ""
+    quasi = path_class is PathClass.QUASI
+    arch = "UD" * q.r + "DU" * (q.s - 1) if quasi else ""
+    plain = 0 if quasi else part_size(q, 1)
     leads = []
     for p in range(1, n if path_class is PathClass.RATIONAL else q.r + 1):
         size = part_size(q, p)
@@ -143,8 +183,8 @@ def _member_steps(q: RationalParam, path_class: PathClass, n: int) -> Iterator[s
     stack = [("", n)]
     while stack:
         prefix, m = stack.pop()
-        if m == 0:
-            yield prefix
+        if m <= plain:
+            yield prefix + "UD" * m
             continue
         if arch and 2 <= m <= q.r + q.s:
             yield f"{prefix}U{arch[: 2 * (m - 1)]}D"

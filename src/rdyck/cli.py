@@ -15,7 +15,7 @@ import os
 import sys
 
 from rdyck.bijection import check_bijection, collision_pair, phi, phi_inv
-from rdyck.classes import PathClass, generate, iter_generate, member, oracle_generate
+from rdyck.classes import PathClass, _member_blocks, generate, member, oracle_generate
 from rdyck.compositions import (
     Composition,
     PartSet,
@@ -23,7 +23,7 @@ from rdyck.compositions import (
     enumerate_compositions,
     path_to_comp,
 )
-from rdyck.core import DyckPath, RationalParam, semilength
+from rdyck.core import DyckPath, RationalParam, semilength, valley_slope
 from rdyck.counting import (
     CountTable,
     class_gf,
@@ -132,17 +132,18 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _ensure_cap(args, args.n)
-    paths = iter_generate(_q(args), _CLASSES[args.path_class], args.n)
+    blocks = _member_blocks(_q(args), _CLASSES[args.path_class], args.n)
+    # one write per validated block of step text, so neither the paths nor
+    # the whole text is ever held in memory
+    write = sys.stdout.write
     if args.format == "json":
-        # item by item from the stream, so neither the paths nor the text is
-        # ever held in memory
-        print("[", end="")
-        for i, p in enumerate(paths):
-            print(", " if i else "", json.dumps(p.steps), sep="", end="")
-        print("]")
+        write("[")
+        for i, block in enumerate(blocks):
+            write((", " if i else "") + ", ".join(map(json.dumps, block)))
+        write("]\n")
     else:
-        for p in paths:
-            print(p.steps)
+        for block in blocks:
+            write("\n".join(block) + "\n")
     return 0
 
 
@@ -275,7 +276,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report(f"compositions {label}", not detail, detail)
 
     t = (q.s - 1) // q.r
-    if q.s == t * q.r + 1:
+    if valley_slope(q) is not None:
         detail = ""
         for n in range(max(0, nmax - t - 1) + 1):
             rep = check_bijection(q, n)

@@ -54,11 +54,10 @@ class DyckPath:
     steps: str = ""
 
     def __post_init__(self) -> None:
-        # Deleting every UD twice empties the text exactly when it is a Dyck
-        # path of height <= 2, which is all this package builds; anything
-        # else takes the level walk, which accepts taller paths and names
-        # the fault of a bad one.
-        if not self.steps.replace("UD", "").replace("UD", ""):
+        # Paths of height <= 2, which is all this package builds, pass the
+        # cheap test; anything else takes the level walk, which accepts
+        # taller paths and names the fault of a bad one.
+        if _low_paths(self.steps, 1):
             return
         level = 0
         for ch in self.steps:
@@ -75,6 +74,19 @@ class DyckPath:
 
     def __str__(self) -> str:
         return self.steps
+
+
+def _low_paths(joined: str, count: int) -> bool:
+    """Whether ``joined``, ``count`` step texts joined by newlines, holds only
+    Dyck paths of height <= 2.
+
+    Deleting every UD twice empties one text exactly when it is such a path.
+    No UD straddles a newline, so on the joined text the deletions act on each
+    text apart, and every text is such a path exactly when only the count - 1
+    joining newlines remain.  A False says only that some text fails: it may
+    still be a valid taller path.
+    """
+    return joined.replace("UD", "").replace("UD", "") == "\n" * (count - 1)
 
 
 EMPTY_PATH = DyckPath("")

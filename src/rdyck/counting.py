@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from rdyck.classes import PathClass, iter_generate
+from rdyck.classes import PathClass, _member_blocks
 from rdyck.core import RationalParam, part_size
 
 __all__ = [
@@ -250,11 +250,16 @@ def count_recurrence(q: RationalParam, path_class: PathClass, order: int) -> Cou
         exponents.append(e)
         p += 1
     values = [1]
+    # exponents[:below] are the ones < n; they are distinct and ascending, so
+    # at most one more joins them at each n
+    below = 0
     for n in range(1, order + 1):
         total = values[n - 1]
         if path_class is PathClass.QUASI and 2 <= n <= q.r + q.s:
             total += 1
-        total += sum(values[n - e] for e in exponents if n - e >= 1)
+        if below < len(exponents) and exponents[below] < n:
+            below += 1
+        total += sum(values[n - e] for e in exponents[:below])
         values.append(total)
     return CountTable(tuple(values))
 
@@ -262,12 +267,12 @@ def count_recurrence(q: RationalParam, path_class: PathClass, order: int) -> Cou
 def count_enumeration(q: RationalParam, path_class: PathClass, order: int) -> CountTable:
     """Counts by literally generating every set; the slow cross-check.
 
-    Each member is built and validated, then counted and dropped, so no set is
-    held in memory.
+    Each member is built and validated, a block of step text at a time, then
+    counted and dropped, so no set is held in memory.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    values = tuple(sum(1 for _ in iter_generate(q, path_class, n)) for n in range(order + 1))
+    values = tuple(sum(map(len, _member_blocks(q, path_class, n))) for n in range(order + 1))
     return CountTable(values)
 
 

@@ -1,13 +1,26 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import rdyck
+import rdyck.classes
 import rdyck.cli
-from rdyck import PathClass, RationalParam, count_recurrence, generate, rational_gf, series_coeffs
+from rdyck import (
+    DyckPath,
+    PathClass,
+    RationalParam,
+    count_enumeration,
+    count_recurrence,
+    generate,
+    iter_generate,
+    rational_gf,
+    series_coeffs,
+)
 from rdyck.cli import run
 
 needs_digit_limit = pytest.mark.skipif(
@@ -90,6 +103,72 @@ class TestEnumerate:
         monkeypatch.setenv("RDYCK_MAX_N", "8")
         code, _, _ = invoke(capsys, "enumerate", "--class", "r", "--q", "1/1", "--n", "6")
         assert code == 0
+
+
+class TestBlocks:
+    """``enumerate`` and ``count_enumeration`` take the members in validated
+    blocks of step text; the blocks must not show in what they produce."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7])
+    def test_block_size_does_not_show(self, capsys, monkeypatch, size):
+        monkeypatch.setattr(rdyck.classes, "_BLOCK_SIZE", size)
+        # building the parser is most of a small call's time; one serves all
+        parser = rdyck.cli._build_parser()
+        monkeypatch.setattr(rdyck.cli, "_build_parser", lambda: parser)
+        for r in range(1, 5):
+            for s in range(1, 6):
+                if math.gcd(r, s) != 1:
+                    continue
+                q = RationalParam(r, s)
+                for path_class in PathClass:
+                    sizes = []
+                    for n in range(11):
+                        steps = [p.steps for p in iter_generate(q, path_class, n)]
+                        sizes.append(len(steps))
+                        argv = ("enumerate", "--class", path_class.value, "--q", str(q), "--n", str(n))
+                        lines = "".join(f"{text}\n" for text in steps)
+                        assert invoke(capsys, *argv) == (0, lines, ""), (q, path_class, n)
+                        listing = json.dumps(steps) + "\n"
+                        assert invoke(capsys, *argv, "--format", "json") == (0, listing, ""), (q, path_class, n)
+                    assert count_enumeration(q, path_class, 10).values == tuple(sizes), (q, path_class)
+
+    def test_bad_text_raises_the_constructor_error(self, capsys, monkeypatch):
+        with pytest.raises(ValueError) as expected:
+            DyckPath("UDD")
+        error = str(expected.value)
+        texts = ["UDUD", "UUUDDD", "UDD", "UUDD"]
+        monkeypatch.setattr(rdyck.classes, "_member_steps", lambda q, path_class, n: iter(texts))
+        argv = ("enumerate", "--class", "r", "--q", "1/1", "--n", "2")
+        # the whole stream is one block: nothing of it is written
+        assert invoke(capsys, *argv) == (1, "", f"error: {error}\n")
+        with pytest.raises(ValueError) as raised:
+            count_enumeration(RationalParam(1, 1), PathClass.RATIONAL, 0)
+        assert str(raised.value) == error
+        # blocks of two: the first holds a valid path of height 3 and is
+        # written; the second holds the bad text, and the output stops before it
+        monkeypatch.setattr(rdyck.classes, "_BLOCK_SIZE", 2)
+        assert invoke(capsys, *argv) == (1, "UDUD\nUUUDDD\n", f"error: {error}\n")
+        assert invoke(capsys, *argv, "--format", "json") == (1, '["UDUD", "UUUDDD"', f"error: {error}\n")
+
+    def test_memory_is_bounded(self, monkeypatch):
+        class Discard:
+            written = 0
+
+            def write(self, text):
+                self.written += len(text)
+                return len(text)
+
+        sink = Discard()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = run(["enumerate", "--class", "q", "--q", "1/1", "--n", "22", "--force"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.written > 1 << 20
+        assert peak < 1 << 20
 
 
 class TestCount:

@@ -30,12 +30,16 @@ checked by the ``DyckPath`` predicate in one pass over its joined text (see
 ``_member_blocks``).  Every member is still validated, no ``DyckPath`` is
 built for it, and memory stays at one stack of prefixes plus one block.
 
-``oracle_all_height2``/``oracle_generate`` give the brute-force route
-(exhaustive search, then filter through the membership rules) used to
-differential-test it.  The oracle scans each exhaustive path once and sorts
-it into all three families; only the latest such split (one r, s and n) is
-kept, so asking for the three families at one n in turn filters the paths
-once.
+``oracle_generate`` gives the brute-force route used to differential-test
+it: an exhaustive search over U/D steps with one pruning rule, then the
+membership filter.  The search drops every path with an interior block
+(p >= 1 peaks, fewer than ceil(p*s/r) valleys), which no family accepts, so
+at n = 15 it yields 1,566 candidates at 3/4 and 6,777 at 3/2 rather than all
+2^14 = 16,384 height-two paths (about 1.61 and 1.84 per unit of n, not 2).
+``oracle_all_height2`` keeps the unpruned search as the exhaustive reference.
+The oracle scans each candidate once and sorts it into all three families;
+only the latest such split (one r, s and n) is kept, so asking for the three
+families at one n in turn filters the candidates once.
 """
 
 from __future__ import annotations
@@ -223,20 +227,61 @@ def oracle_all_height2(n: int) -> tuple[DyckPath, ...]:
 
 
 def oracle_generate(q: RationalParam, path_class: PathClass, n: int) -> tuple[DyckPath, ...]:
-    """Brute-force counterpart of ``generate``: the exhaustive paths that pass the family's rules."""
+    """Brute-force counterpart of ``generate``: the searched paths that pass the family's rules."""
     return _oracle_split(q.r, q.s, n)[path_class]
 
 
 @lru_cache(maxsize=1)
 def _oracle_split(r: int, s: int, n: int) -> dict[PathClass, tuple[DyckPath, ...]]:
-    """``oracle_all_height2(n)`` sorted into the three families: one scan per path."""
+    """The candidates of ``_oracle_steps`` sorted into the three families: one
+    scan per candidate, and a ``DyckPath`` only for a text some family accepts.
+    """
     q = RationalParam(r, s)
     split: dict[PathClass, list[DyckPath]] = {path_class: [] for path_class in PathClass}
-    for path in oracle_all_height2(n):
-        blocks = _scan_blocks(path.steps)
+    for steps in _oracle_steps(q, n):
+        blocks = _scan_blocks(steps)
         if blocks is None:
             continue
-        for path_class, members in split.items():
-            if _accepts(q, path_class, blocks):
+        accepted = [members for path_class, members in split.items() if _accepts(q, path_class, blocks)]
+        if accepted:
+            path = DyckPath(steps)
+            for members in accepted:
                 members.append(path)
     return {path_class: tuple(members) for path_class, members in split.items()}
+
+
+def _oracle_steps(q: RationalParam, n: int) -> list[str]:
+    """The step texts of ``oracle_all_height2(n)`` less those with an interior
+    block short of its valleys, in the same U < D order.
+
+    The search of ``oracle_all_height2`` with one pruning rule.  A peak is a U
+    from level 1 and a valley a D from level 1 that is not the last step; a
+    peak that follows a valley starts a new block and so closes the one
+    before it, which is then interior.  No family accepts an interior block
+    (p, v) with p >= 1 and v < ceil(p*s/r) (only the quasi family's final
+    block is let off), so the search drops the U that would close such a
+    block, and with it every path below.  The filter still decides
+    membership, and shares nothing with the suffix recursion of
+    ``_member_steps``.
+    """
+    demand = [0] + [min_valleys(q, peaks) for peaks in range(1, n + 1)]
+    found: list[str] = []
+
+    def extend(prefix: str, level: int, remaining: int, peaks: int, valleys: int) -> None:
+        if remaining == 0:
+            if level == 0:
+                found.append(prefix)
+            return
+        if level < 2 and level + 2 <= remaining:
+            if level == 0:
+                extend(prefix + "U", 1, remaining - 1, peaks, valleys)
+            elif not valleys:
+                extend(prefix + "U", 2, remaining - 1, peaks + 1, 0)
+            elif valleys >= demand[peaks]:
+                extend(prefix + "U", 2, remaining - 1, 1, 0)
+        if level > 0:
+            valley = level == 1 and remaining > 1
+            extend(prefix + "D", level - 1, remaining - 1, peaks, valleys + valley)
+
+    extend("", 0, 2 * n, 0, 0)
+    return found

@@ -217,20 +217,35 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             failures += 1
             print(f"FAIL {name}: {detail}")
 
-    # n outermost, so that the oracle filters each semilength's paths once for
-    # all three families; a family is no longer checked after its first failure
+    # n outermost, so that the oracle filters each semilength's candidates once
+    # for all three families.  A family is no longer checked against the
+    # oracle after its first failure, but is still built while the
+    # intersection check needs it; where the oracle disagrees, the
+    # intersection check takes the oracle's members, so that one fault of the
+    # generator fails one check.
     generation = dict.fromkeys(PathClass, "")
+    intersection = ""
     for n in range(nmax + 1):
+        families = {}
         for path_class, detail in generation.items():
+            if detail and intersection:
+                continue
+            families[path_class] = built = generate(q, path_class, n)
             if detail:
                 continue
-            built = generate(q, path_class, n)
             checked = oracle_generate(q, path_class, n)
             if built != checked:
                 built_set, checked_set = set(built), set(checked)
                 missing = [p.steps for p in checked if p not in built_set]
                 extra = [p.steps for p in built if p not in checked_set]
                 generation[path_class] = f"n={n} missing={missing} extra={extra}"
+                families[path_class] = checked
+        if not intersection:
+            meet = set(families[PathClass.RATIONAL]) & set(families[PathClass.QUASI])
+            expected = set(families[PathClass.RESTRICTED])
+            if meet != expected:
+                witnesses = sorted(p.steps for p in meet ^ expected)
+                intersection = f"n={n} witnesses={witnesses}"
 
     for path_class, detail in generation.items():
         report(f"generation {path_class.value}", not detail, detail)
@@ -245,15 +260,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"enumeration={enum.as_line()} recurrence={rec.as_line()} series={ser.as_line()}",
         )
 
-    detail = ""
-    for n in range(nmax + 1):
-        meet = set(generate(q, PathClass.RATIONAL, n)) & set(generate(q, PathClass.QUASI, n))
-        expected = set(generate(q, PathClass.RESTRICTED, n))
-        if meet != expected:
-            witnesses = sorted(p.steps for p in meet ^ expected)
-            detail = f"n={n} witnesses={witnesses}"
-            break
-    report("intersection", not detail, detail)
+    report("intersection", not intersection, intersection)
 
     for finite, label in ((False, "unbounded"), (True, "bounded")):
         part_set = PartSet(q, finite)

@@ -326,3 +326,23 @@ class TestOracle:
             for cls in PathClass:
                 for n in range(9):
                     assert generate(q, cls, n) == oracle_generate(q, cls, n)
+
+    def test_pruned_search_drops_no_member(self):
+        # the exhaustive paths through member, against the pruned search: the
+        # reference side never reaches the search behind oracle_generate
+        for n in range(13):
+            paths = oracle_all_height2(n)
+            for r, s in product(range(1, 7), repeat=2):
+                if math.gcd(r, s) != 1:
+                    continue
+                q = RationalParam(r, s)
+                for cls in PathClass:
+                    expected = tuple(p for p in paths if member(q, cls, p))
+                    assert oracle_generate(q, cls, n) == expected, (q, cls, n)
+
+    @pytest.mark.parametrize("r,s", [(3, 4), (1, 1)], ids=["3/4", "1/1"])
+    def test_oracle_equals_constructive_past_twelve(self, r, s):
+        q = RationalParam(r, s)
+        for n in range(13, 19):
+            for cls in PathClass:
+                assert generate(q, cls, n) == oracle_generate(q, cls, n), (cls, n)

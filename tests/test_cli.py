@@ -416,6 +416,32 @@ class TestVerify:
         ]
         assert oracle_calls == expected_calls
 
+    def test_intersection_reads_the_checked_families(self, capsys, monkeypatch):
+        # the generator and the oracle each lose the same restricted path at
+        # their first call for n=3, the generation check's, so that check passes
+        # and only the intersection check, which reads the same tuples, sees it
+        lost = []
+
+        def losing(real):
+            calls = []
+
+            def call(q, path_class, n):
+                paths = real(q, path_class, n)
+                if path_class is PathClass.RESTRICTED and n == 3 and not calls:
+                    calls.append(n)
+                    lost[:] = [paths[0].steps]
+                    return paths[1:]
+                return paths
+
+            return call
+
+        monkeypatch.setattr(rdyck.cli, "generate", losing(rdyck.cli.generate))
+        monkeypatch.setattr(rdyck.cli, "oracle_generate", losing(rdyck.cli.oracle_generate))
+        code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
+        assert code == 1
+        failure = f"FAIL intersection: n=3 witnesses={lost}"
+        assert out == VERIFY_3_4.replace("ok intersection", failure)
+
     @pytest.mark.parametrize("qtext", ["3/4", "1/2", "3/2"])
     def test_passes(self, capsys, qtext):
         code, out, _ = invoke(capsys, "verify", "--q", qtext, "--nmax", "7")

@@ -22,13 +22,18 @@ yields its members one at a time, lexicographically with U before D;
 ``generate`` collects them into a tuple.  The recursion itself fixes that
 order (the arch, then lead-ins with more peaks before fewer, then UD + tail),
 so a depth-first walk yields the members sorted: nothing is sorted, kept in a
-set or cached, and memory stays at one stack of prefixes plus one path.
+set or cached.  The walk (``_member_walk``) yields whole subtrees: below a
+node with m semilength left lie the members of semilength m after the
+node's prefix, so the members of each small m are built once per call, into
+a table of at most ``_BLOCK_SIZE`` texts per m, and a node that reaches one
+yields them as one block of text joined by newlines.  Memory stays at one
+stack of prefixes, the table and one block.
 
 ``enumerate`` and ``count_enumeration`` need only the step text, so they take
-the same walk as blocks: lists of at most ``_BLOCK_SIZE`` texts, each block
-checked by the ``DyckPath`` predicate in one pass over its joined text (see
-``_member_blocks``).  Every member is still validated, no ``DyckPath`` is
-built for it, and memory stays at one stack of prefixes plus one block.
+the blocks themselves (``_member_blocks``): each block is checked as a whole
+by ``core._low_paths``, in a fixed number of string operations whatever its
+size, and no ``DyckPath`` is built per member.  Every member is still
+validated.
 
 ``oracle_generate`` gives the brute-force route used to differential-test
 it: an exhaustive search over U/D steps with one pruning rule, then the
@@ -47,7 +52,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
-from itertools import islice
+from itertools import chain
 
 from rdyck.core import (
     DyckPath,
@@ -67,9 +72,12 @@ __all__ = [
     "oracle_generate",
 ]
 
-# Step texts per block of _member_blocks: enough to spread the per-block work
-# thin, few enough that a block stays a few tens of kilobytes.
+# Most step texts per block of _member_walk: enough to spread the per-block
+# work thin, few enough that a block stays a few tens of kilobytes.
 _BLOCK_SIZE = 256
+# Most characters in _member_walk's table of short members; only families
+# whose counts grow very slowly (s much larger than r) reach it.
+_TABLE_CHARS = 1 << 16
 
 
 class PathClass(Enum):
@@ -87,7 +95,11 @@ def member(q: RationalParam, path_class: PathClass, path: DyckPath) -> bool:
 
 
 def _accepts(q: RationalParam, path_class: PathClass, blocks: tuple[tuple[int, int], ...]) -> bool:
-    """The family's rules on the maximal blocks of a height-<=2 path."""
+    """The family's rules on the maximal blocks of a height-<=2 path.
+
+    A block of p peaks demands v >= ceil(p*s/r) valleys, tested as
+    v*r >= p*s, which is the same for integers and needs no division.
+    """
     capped = path_class is not PathClass.RATIONAL
     last = len(blocks) - 1
     for i, (peaks, valleys) in enumerate(blocks):
@@ -95,7 +107,7 @@ def _accepts(q: RationalParam, path_class: PathClass, blocks: tuple[tuple[int, i
             return False
         if path_class is PathClass.QUASI and i == last and (peaks == q.r or valleys == 0):
             continue
-        if peaks and valleys < min_valleys(q, peaks):
+        if valleys * q.r < peaks * q.s:
             return False
     return True
 
@@ -121,37 +133,39 @@ def iter_generate(q: RationalParam, path_class: PathClass, n: int) -> Iterator[D
     2 <= n <= r+s, the single path U w D where w is the semilength-(n-1)
     prefix of (UD)^r (DU)^(s-1).
 
-    Each path is built only when it is asked for, so memory stays at one
-    stack of prefixes plus one path.  Callers that need only the step text
-    (``enumerate``, ``count_enumeration``) take the same walk in validated
-    blocks of text instead (``_member_blocks``): one stack plus one block,
+    The paths are built from the blocks of ``_member_walk`` as they are asked
+    for, so memory stays at one stack of prefixes, one table of short members
+    and one block.  Callers that need only the step text (``enumerate``,
+    ``count_enumeration``) take the blocks themselves (``_member_blocks``),
     and no ``DyckPath`` per member.  A negative ``n`` raises ``ValueError``
     at the call, not at the first ``next``.
     """
     if n < 0:
         raise ValueError(f"semilength must be >= 0, got {n}")
-    return map(DyckPath, _member_steps(q, path_class, n))
+    blocks = _member_walk(q, path_class, n)
+    return map(DyckPath, chain.from_iterable(joined.split("\n") for joined, _ in blocks))
 
 
-def _member_blocks(q: RationalParam, path_class: PathClass, n: int) -> Iterator[list[str]]:
-    """The step texts of :func:`iter_generate`, in order, as lists of at most
-    ``_BLOCK_SIZE``; ``n`` must be >= 0.
+def _member_blocks(q: RationalParam, path_class: PathClass, n: int) -> Iterator[tuple[str, int]]:
+    """The blocks of ``_member_walk`` (texts joined by newlines, and how many),
+    each checked before it is yielded; ``n`` must be >= 0.
 
-    Each block is checked by the ``DyckPath`` predicate in one pass over its
-    joined text.  A block that fails it is checked again text by text through
-    ``DyckPath``, so a bad text raises the constructor's own ``ValueError``
-    before any of its block is yielded, and a valid taller path passes.
+    A block is checked as a whole by ``_low_paths``.  A block that fails it
+    is checked again text by text through ``DyckPath``, so a bad text raises
+    the constructor's own ``ValueError`` before any of its block is yielded,
+    and a valid taller path passes.
     """
-    steps = _member_steps(q, path_class, n)
-    while block := list(islice(steps, _BLOCK_SIZE)):
-        if not _low_paths("\n".join(block), len(block)):
-            for text in block:
+    for joined, count in _member_walk(q, path_class, n):
+        if not _low_paths(joined, count):
+            for text in joined.split("\n"):
                 DyckPath(text)
-        yield block
+        yield joined, count
 
 
-def _member_steps(q: RationalParam, path_class: PathClass, n: int) -> Iterator[str]:
-    """The step text of every member of semilength ``n``, in U < D order.
+def _member_walk(q: RationalParam, path_class: PathClass, n: int) -> Iterator[tuple[str, int]]:
+    """The step text of every member of semilength ``n``, in U < D order, as
+    blocks of at most ``_BLOCK_SIZE`` texts joined by newlines, each with its
+    count of texts.
 
     A depth-first walk of the suffix recursion on an explicit stack of
     (prefix, remaining semilength) pairs.  Among the members that share a
@@ -169,29 +183,46 @@ def _member_steps(q: RationalParam, path_class: PathClass, n: int) -> Iterator[s
     lead-ins by ascending p, for the stack to pop them in order.  The stack
     holds only the pending siblings along the current branch.
 
-    A lead-in takes at least part_size(1) of the semilength and must leave
-    some over, so with m <= part_size(1) left no lead-in fits, at this node
-    or below it.  Outside the quasi family the only member left is then
-    (UD)^m, and it is yielded at once instead of through m one-child nodes.
-    The quasi arch still fits down to m = 2, so quasi walks on to m = 0.
+    Below a node (prefix, m) lie exactly the members of semilength m, each
+    after ``prefix`` and in the same order, whatever the prefix.  So the
+    members of each small m are first built bottom up, in that order, into a
+    table that ends before the first m with more than ``_BLOCK_SIZE``
+    members, or whose texts would take the table past ``_TABLE_CHARS``
+    characters.  The counts never fall as m grows (UD + tail keeps every
+    shorter member), so all larger m are walked.  A node whose m is in the
+    table is one block, ``prefix`` joined before each of its texts by one
+    ``str.join``.  The table lives for one call only.
     """
     quasi = path_class is PathClass.QUASI
     arch = "UD" * q.r + "DU" * (q.s - 1) if quasi else ""
-    plain = 0 if quasi else part_size(q, 1)
     leads = []
     for p in range(1, n if path_class is PathClass.RATIONAL else q.r + 1):
         size = part_size(q, p)
         if size >= n:
             break
         leads.append((f"U{'UD' * p}{'DU' * (size - p - 1)}D", size))
+    table = [[""]]
+    chars = 0
+    while len(table) <= n:
+        m = len(table)
+        members = [f"U{arch[: 2 * (m - 1)]}D"] if arch and 2 <= m <= q.r + q.s else []
+        for lead, size in reversed(leads):
+            if size < m:
+                members += [lead + tail for tail in table[m - size]]
+        members += ["UD" + tail for tail in table[m - 1]]
+        chars += 2 * m * len(members)
+        if len(members) > _BLOCK_SIZE or chars > _TABLE_CHARS:
+            break
+        table.append(members)
     stack = [("", n)]
     while stack:
         prefix, m = stack.pop()
-        if m <= plain:
-            yield prefix + "UD" * m
+        if m < len(table):
+            tails = table[m]
+            yield prefix + f"\n{prefix}".join(tails), len(tails)
             continue
         if arch and 2 <= m <= q.r + q.s:
-            yield f"{prefix}U{arch[: 2 * (m - 1)]}D"
+            yield f"{prefix}U{arch[: 2 * (m - 1)]}D", 1
         stack.append((prefix + "UD", m - 1))
         for lead, size in leads:
             if size >= m:
@@ -262,7 +293,7 @@ def _oracle_steps(q: RationalParam, n: int) -> list[str]:
     block is let off), so the search drops the U that would close such a
     block, and with it every path below.  The filter still decides
     membership, and shares nothing with the suffix recursion of
-    ``_member_steps``.
+    ``_member_walk``.
     """
     demand = [0] + [min_valleys(q, peaks) for peaks in range(1, n + 1)]
     found: list[str] = []

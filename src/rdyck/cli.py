@@ -133,17 +133,20 @@ def _cmd_member(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _ensure_cap(args, args.n)
     blocks = _member_blocks(_q(args), _CLASSES[args.path_class], args.n)
-    # one write per validated block of step text, so neither the paths nor
-    # the whole text is ever held in memory
+    # one write per validated block, of the very text the check read, so
+    # neither the paths nor the whole text is ever held in memory; a checked
+    # text holds only U and D, so its JSON string is the text in quotes
     write = sys.stdout.write
     if args.format == "json":
+        separator = ""
         write("[")
-        for i, block in enumerate(blocks):
-            write((", " if i else "") + ", ".join(map(json.dumps, block)))
+        for joined, _ in blocks:
+            write(separator + '"' + joined.replace("\n", '", "') + '"')
+            separator = ", "
         write("]\n")
     else:
-        for block in blocks:
-            write("\n".join(block) + "\n")
+        for joined, _ in blocks:
+            write(joined + "\n")
     return 0
 
 
@@ -218,18 +221,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"FAIL {name}: {detail}")
 
     # n outermost, so that the oracle filters each semilength's candidates once
-    # for all three families.  A family is no longer checked against the
-    # oracle after its first failure, but is still built while the
-    # intersection check needs it; where the oracle disagrees, the
-    # intersection check takes the oracle's members, so that one fault of the
-    # generator fails one check.
+    # for all three families, and every check that needs a family at n reads
+    # the one tuple built for it.  A family is no longer checked against the
+    # oracle after its first failure, but is still built for the other
+    # checks; where the oracle disagrees, they take the oracle's members, so
+    # that one fault of the generator fails one check.  The composition
+    # checks compare the compositions of n - 1 with the family of semilength
+    # n over their part set.
     generation = dict.fromkeys(PathClass, "")
     intersection = ""
+    part_sets = {"unbounded": (False, PathClass.RATIONAL), "bounded": (True, PathClass.RESTRICTED)}
+    compositions = dict.fromkeys(part_sets, "")
     for n in range(nmax + 1):
         families = {}
         for path_class, detail in generation.items():
-            if detail and intersection:
-                continue
             families[path_class] = built = generate(q, path_class, n)
             if detail:
                 continue
@@ -246,6 +251,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if meet != expected:
                 witnesses = sorted(p.steps for p in meet ^ expected)
                 intersection = f"n={n} witnesses={witnesses}"
+        for label, (finite, path_class) in part_sets.items():
+            if n and not compositions[label]:
+                compositions[label] = _composition_fault(q, PartSet(q, finite), n - 1, families[path_class])
 
     for path_class, detail in generation.items():
         report(f"generation {path_class.value}", not detail, detail)
@@ -261,25 +269,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
 
     report("intersection", not intersection, intersection)
-
-    for finite, label in ((False, "unbounded"), (True, "bounded")):
-        part_set = PartSet(q, finite)
-        path_class = PathClass.RESTRICTED if finite else PathClass.RATIONAL
-        detail = ""
-        for n in range(nmax):
-            comps = enumerate_compositions(part_set, n)
-            paths = generate(q, path_class, n + 1)
-            if len(comps) != len(paths):
-                detail = f"n={n} compositions={len(comps)} paths={len(paths)}"
-                break
-            bad = next((c for c in comps if path_to_comp(q, comp_to_path(q, c)) != c), None)
-            if bad is not None:
-                detail = f"n={n} composition={bad.to_text()}"
-                break
-            bad = next((p for p in paths if comp_to_path(q, path_to_comp(q, p)) != p), None)
-            if bad is not None:
-                detail = f"n={n} path={bad.steps}"
-                break
+    for label, detail in compositions.items():
         report(f"compositions {label}", not detail, detail)
 
     t = (q.s - 1) // q.r
@@ -323,6 +313,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report("collisions", differs and pair_ok, pair_detail)
 
     return 1 if failures else 0
+
+
+def _composition_fault(q: RationalParam, part_set: PartSet, n: int, paths: tuple[DyckPath, ...]) -> str:
+    """The first fault of the composition maps between the compositions of
+    ``n`` over ``part_set`` and ``paths``, the family of semilength n+1; empty
+    when there is none."""
+    comps = enumerate_compositions(part_set, n)
+    if len(comps) != len(paths):
+        return f"n={n} compositions={len(comps)} paths={len(paths)}"
+    bad = next((c for c in comps if path_to_comp(q, comp_to_path(q, c)) != c), None)
+    if bad is not None:
+        return f"n={n} composition={bad.to_text()}"
+    bad = next((p for p in paths if comp_to_path(q, path_to_comp(q, p)) != p), None)
+    if bad is not None:
+        return f"n={n} path={bad.steps}"
+    return ""
 
 
 def _build_parser() -> argparse.ArgumentParser:

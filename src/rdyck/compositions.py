@@ -145,12 +145,9 @@ def path_to_comp(q: RationalParam, path: DyckPath) -> Composition:
 
 
 def _peaks_for(q: RationalParam, size: int) -> int:
-    # Invert part_size by monotone search; part sizes are strictly increasing.
-    p = 1
-    while True:
-        got = part_size(q, p)
-        if got == size:
-            return p
-        if got > size:
-            raise ValueError(f"{size} is not a part size for {q}")
-        p += 1
+    # Invert part_size: size = p + ceil(ps/r) gives size*r = p*(r+s) + d with
+    # 0 <= d < r, so p is the floor of size*r/(r+s).
+    p = size * q.r // (q.r + q.s)
+    if p < 1 or part_size(q, p) != size:
+        raise ValueError(f"{size} is not a part size for {q}")
+    return p

@@ -49,15 +49,19 @@ _BLOCK = re.compile("(U*)(D*)")
 
 @dataclass(frozen=True)
 class DyckPath:
-    """A validated Dyck path, stored as its text over the alphabet {U, D}."""
+    """A validated Dyck path, stored as its text over the alphabet {U, D}.
+
+    Deleting every UD twice empties the text exactly when it is a path of
+    height <= 2, which is all this package builds; that is the whole check
+    for such a path.  Any other text takes a level walk, which accepts taller
+    paths and names the fault of a bad one.  (Blocks of many texts are
+    checked at once by ``_low_paths`` instead.)
+    """
 
     steps: str = ""
 
     def __post_init__(self) -> None:
-        # Paths of height <= 2, which is all this package builds, pass the
-        # cheap test; anything else takes the level walk, which accepts
-        # taller paths and names the fault of a bad one.
-        if _low_paths(self.steps, 1):
+        if not self.steps.replace("UD", "").replace("UD", ""):
             return
         level = 0
         for ch in self.steps:
@@ -77,16 +81,39 @@ class DyckPath:
 
 
 def _low_paths(joined: str, count: int) -> bool:
-    """Whether ``joined``, ``count`` step texts joined by newlines, holds only
-    Dyck paths of height <= 2.
+    """Whether ``joined``, ``count`` >= 1 step texts joined by newlines, holds
+    only Dyck paths of height <= 2, all of one even length.
 
-    Deleting every UD twice empties one text exactly when it is such a path.
-    No UD straddles a newline, so on the joined text the deletions act on each
-    text apart, and every text is such a path exactly when only the count - 1
-    joining newlines remain.  A False says only that some text fails: it may
-    still be a valid taller path.
+    The test takes a fixed number of slice, ``replace``, ``translate`` and
+    ``count`` calls, however many steps the texts hold.  If the texts have
+    one length L, the joined text is count*(L+1) - 1 long, with a newline at
+    every offset L + i*(L+1); the test reads L off the length and checks
+    that these offsets, and no others of that stride below the length, hold
+    newlines.  With the newlines deleted, text i should span offsets i*L to
+    i*L + L - 1.  A text of even length L is a path of height <= 2 exactly
+    when it starts with U, ends with D, and each step pair at odd offsets in
+    between is UD (a peak) or DU (a valley), as in ``_scan_blocks``.  L is
+    even, so these pairs sit at odd offsets of the whole, and so does the
+    pair of one text's last step and the next text's first, which must then
+    be DU.  So the test checks a D at every offset i*L + L - 1 (which also
+    fails when a stray newline shortened the whole) and every pair at odd
+    offsets of the whole at once.  The pair test also passes two equal
+    characters other than U and D.  Counting the U rules those out, and a
+    first step other than U: each text must have one U per pair and one
+    more.  A False says only that some text fails or the lengths differ:
+    each text may still be a valid path, of height above two or of another
+    length.
     """
-    return joined.replace("UD", "").replace("UD", "") == "\n" * (count - 1)
+    width = (len(joined) + 1) // count
+    length = width - 1
+    if length % 2 or joined[length::width] != "\n" * (count - 1):
+        return False
+    steps = joined.replace("\n", "")
+    return not length or (
+        steps[length - 1 :: length] == "D" * count
+        and steps[2:-1:2] == steps[1:-1:2].translate(_SWAP_STEPS)
+        and steps.count("U") * 2 == len(steps)
+    )
 
 
 EMPTY_PATH = DyckPath("")

@@ -272,7 +272,7 @@ def count_enumeration(q: RationalParam, path_class: PathClass, order: int) -> Co
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    values = tuple(sum(map(len, _member_blocks(q, path_class, n))) for n in range(order + 1))
+    values = tuple(sum(count for _, count in _member_blocks(q, path_class, n)) for n in range(order + 1))
     return CountTable(values)
 
 

@@ -5,6 +5,7 @@ from itertools import groupby, product
 
 import pytest
 
+import rdyck.classes
 from rdyck import (
     EMPTY_PATH,
     DyckPath,
@@ -21,6 +22,7 @@ from rdyck import (
     oracle_all_height2,
     oracle_generate,
 )
+from rdyck.classes import _member_walk
 
 Q_SAMPLE = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 5)]
 
@@ -261,6 +263,11 @@ def reference_family(r, s, tag, n):
     return tuple(sorted(out, key=lambda text: text.translate(str.maketrans("UD", "01"))))
 
 
+@lru_cache(maxsize=None)
+def oracle_texts(r, s, path_class, n):
+    return tuple(p.steps for p in oracle_generate(RationalParam(r, s), path_class, n))
+
+
 class TestStreaming:
     def test_matches_sorted_reference(self):
         for r in range(1, 7):
@@ -282,6 +289,29 @@ class TestStreaming:
         assert first.steps == "UUDUDDUDUD" * 11 + "UUDDUD" + "UDUD"
         assert member(q, PathClass.RESTRICTED, first)
 
+    @pytest.mark.parametrize(
+        "size,chars",
+        [(1, None), (2, None), (3, None), (7, None), (256, None), (256, 0), (256, 64)],
+    )
+    def test_walk_equals_the_oracle_at_any_block_size(self, monkeypatch, size, chars):
+        # chars: the table's character bound, None for the default; 0 leaves
+        # the table only the empty member, so the walk goes down to m = 0
+        monkeypatch.setattr(rdyck.classes, "_BLOCK_SIZE", size)
+        if chars is not None:
+            monkeypatch.setattr(rdyck.classes, "_TABLE_CHARS", chars)
+        for r, s in product(range(1, 6), repeat=2):
+            if math.gcd(r, s) != 1:
+                continue
+            q = RationalParam(r, s)
+            for n in range(13):
+                for cls in PathClass:
+                    blocks = list(_member_walk(q, cls, n))
+                    texts = tuple(text for joined, _ in blocks for text in joined.split("\n"))
+                    assert texts == oracle_texts(r, s, cls, n), (q, cls, n)
+                    counts = [count for _, count in blocks]
+                    assert all(joined.count("\n") == count - 1 for joined, count in blocks)
+                    assert 1 <= min(counts) and max(counts) <= size, (q, cls, n)
+
     def test_negative_semilength_raises_at_the_call(self):
         with pytest.raises(ValueError):
             iter_generate(RationalParam(1, 1), PathClass.QUASI, -1)
@@ -294,6 +324,18 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert count > 10_000
+        assert peak < 1 << 20
+
+    def test_table_is_bounded_when_counts_grow_slowly(self):
+        # at 1/1000 the members of every m <= 1001 are (UD)^m alone, so a
+        # table bounded only by its count of texts would hold about 80 MB here
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in iter_generate(RationalParam(1, 1000), PathClass.RATIONAL, 1258))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 258
         assert peak < 1 << 20
 
 

@@ -137,7 +137,15 @@ class TestBlocks:
             DyckPath("UDD")
         error = str(expected.value)
         texts = ["UDUD", "UUUDDD", "UDD", "UUDD"]
-        monkeypatch.setattr(rdyck.classes, "_member_steps", lambda q, path_class, n: iter(texts))
+
+        def walk(q, path_class, n):
+            # the texts in blocks of the block size, joined as the walk joins them
+            size = rdyck.classes._BLOCK_SIZE
+            for i in range(0, len(texts), size):
+                block = texts[i : i + size]
+                yield "\n".join(block), len(block)
+
+        monkeypatch.setattr(rdyck.classes, "_member_walk", walk)
         argv = ("enumerate", "--class", "r", "--q", "1/1", "--n", "2")
         # the whole stream is one block: nothing of it is written
         assert invoke(capsys, *argv) == (1, "", f"error: {error}\n")
@@ -418,8 +426,9 @@ class TestVerify:
 
     def test_intersection_reads_the_checked_families(self, capsys, monkeypatch):
         # the generator and the oracle each lose the same restricted path at
-        # their first call for n=3, the generation check's, so that check passes
-        # and only the intersection check, which reads the same tuples, sees it
+        # their first call for n=3, the generation check's, so that check passes;
+        # the intersection check and the bounded composition check (at
+        # compositions of 2) read the same tuples, and see it
         lost = []
 
         def losing(real):
@@ -440,7 +449,9 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
         assert code == 1
         failure = f"FAIL intersection: n=3 witnesses={lost}"
-        assert out == VERIFY_3_4.replace("ok intersection", failure)
+        composition_failure = "FAIL compositions bounded: n=2 compositions=1 paths=0"
+        expected = VERIFY_3_4.replace("ok intersection", failure)
+        assert out == expected.replace("ok compositions bounded", composition_failure)
 
     @pytest.mark.parametrize("qtext", ["3/4", "1/2", "3/2"])
     def test_passes(self, capsys, qtext):

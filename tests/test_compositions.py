@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from rdyck import (
@@ -104,6 +106,23 @@ class TestMapping:
     def test_comp_to_path_rejects_non_part(self, bad_part):
         with pytest.raises(ValueError):
             comp_to_path(RationalParam(3, 4), Composition((bad_part,)))
+
+    def test_every_size_maps_to_its_part_or_is_rejected(self):
+        for r in range(1, 9):
+            for s in range(1, 9):
+                if math.gcd(r, s) != 1:
+                    continue
+                q = RationalParam(r, s)
+                lead_ins = {part_size(q, p): p for p in range(1, 61)}
+                for size in range(2, 61):
+                    if size in lead_ins:
+                        steps = comp_to_path(q, Composition((size,))).steps
+                        assert steps.startswith("U" + "UD" * lead_ins[size] + "DU"), (q, size)
+                        assert path_to_comp(q, DyckPath(steps)).parts == (size,)
+                    else:
+                        with pytest.raises(ValueError) as raised:
+                            comp_to_path(q, Composition((size,)))
+                        assert str(raised.value) == f"{size} is not a part size for {q}"
 
     @pytest.mark.parametrize(
         "text,parts",

@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import pytest
@@ -167,6 +168,16 @@ class TestDerivedQuantities:
     def test_min_valleys_rejects_zero(self):
         with pytest.raises(ValueError):
             min_valleys(RationalParam(3, 4), 0)
+
+    def test_min_valleys_as_a_product(self):
+        # v < ceil(p*s/r) exactly when v*r < p*s, the form classes._accepts tests
+        for r, s in product(range(1, 9), repeat=2):
+            if math.gcd(r, s) != 1:
+                continue
+            q = RationalParam(r, s)
+            for p in range(1, 41):
+                demand = min_valleys(q, p)
+                assert all((v < demand) == (v * r < p * s) for v in range(41)), (q, p)
 
     def test_part_size_values(self):
         q = RationalParam(3, 4)

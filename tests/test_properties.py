@@ -1,6 +1,6 @@
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rdyck import (
     Composition,
@@ -24,6 +24,8 @@ from rdyck import (
     semilength,
     valley_slope,
 )
+from rdyck.classes import _member_walk
+from rdyck.core import _low_paths
 
 
 @st.composite
@@ -113,3 +115,87 @@ def test_phi_round_trip_when_defined(q, n):
 def test_composition_text_round_trip(parts):
     comp = Composition(tuple(parts))
     assert Composition.from_text(comp.to_text()) == comp
+
+
+def is_low_path(text):
+    """The level walk: a Dyck path over U and D that never leaves [0, 2]."""
+    level = 0
+    for ch in text:
+        if ch not in "UD":
+            return False
+        level += 1 if ch == "U" else -1
+        if not 0 <= level <= 2:
+            return False
+    return level == 0
+
+
+@st.composite
+def dyck_texts(draw, n):
+    """A Dyck path of semilength n and any height, step by step."""
+    steps, level = [], 0
+    for remaining in range(2 * n, 0, -1):
+        up = level == 0 or (level < remaining and draw(st.booleans()))
+        steps.append("U" if up else "D")
+        level += 1 if up else -1
+    return "".join(steps)
+
+
+@st.composite
+def low_texts(draw, n):
+    """A path of semilength n and height <= 2: U, a peak UD or a valley DU
+    for each of its n - 1 atoms, then D."""
+    if not n:
+        return ""
+    return "U" + "".join(draw(st.lists(st.sampled_from(["UD", "DU"]), min_size=n - 1, max_size=n - 1))) + "D"
+
+
+@st.composite
+def spoilt_texts(draw, n):
+    """A path of height <= 2 with a piece written over it: two equal
+    characters, which pass a pair test alone, or one step or newline."""
+    text = draw(low_texts(n))
+    at = draw(st.integers(min_value=0, max_value=len(text)))
+    piece = draw(st.sampled_from(["XX", "\n\n", "U", "D", "X", "\n", ""]))
+    return text[:at] + piece + text[at + len(piece) :]
+
+
+@st.composite
+def step_blocks(draw):
+    """Texts for one block: paths of one semilength (height two or taller),
+    mixed with texts of other or odd lengths, empty texts, foreign characters
+    and embedded newlines."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    low = low_texts(n)
+    junk = st.text(alphabet="UD\nX", max_size=2 * n + 3)
+    spoilt = spoilt_texts(n)
+    text = st.one_of(low, low, dyck_texts(n), junk, spoilt)
+    if draw(st.booleans()):
+        return draw(st.lists(text, min_size=1, max_size=6))
+    # paths of height two cut elsewhere: into equal pieces when they divide,
+    # or at random places (texts of odd length, texts of several lengths)
+    whole = "".join(draw(st.lists(st.one_of(low, dyck_texts(n)), min_size=1, max_size=4)))
+    count = draw(st.integers(min_value=1, max_value=6))
+    if len(whole) % count == 0 and draw(st.booleans()):
+        width = len(whole) // count
+        return [whole[i * width : (i + 1) * width] for i in range(count)]
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=len(whole)), max_size=5)))
+    return [whole[a:b] for a, b in zip([0] + cuts, cuts + [len(whole)])]
+
+
+@settings(max_examples=400, deadline=None)
+@given(step_blocks())
+@example(["UUD", "UDD"])
+@example(["UDU", "D"])
+@example(["UXXD"])
+def test_block_test_against_the_level_walk(texts):
+    verdict = _low_paths("\n".join(texts), len(texts))
+    if verdict:
+        assert all(is_low_path(text) for text in texts)
+    if all(is_low_path(text) for text in texts) and len({len(text) for text in texts}) == 1:
+        assert verdict
+
+
+@settings(max_examples=40, deadline=None)
+@given(rationals(), st.sampled_from(list(PathClass)), st.integers(min_value=0, max_value=16))
+def test_block_test_accepts_every_block_of_members(q, path_class, n):
+    assert all(_low_paths(joined, count) for joined, count in _member_walk(q, path_class, n))

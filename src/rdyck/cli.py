@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
 
 from rdyck.bijection import check_bijection, collision_pair, phi, phi_inv
 from rdyck.classes import PathClass, _member_blocks, generate, member, oracle_generate
@@ -25,7 +26,7 @@ from rdyck.compositions import (
 )
 from rdyck.core import DyckPath, RationalParam, semilength, valley_slope
 from rdyck.counting import (
-    CountTable,
+    _series_texts,
     class_gf,
     compositions_gf,
     count_enumeration,
@@ -95,30 +96,42 @@ def _q(args: argparse.Namespace) -> RationalParam:
     return RationalParam.from_string(args.q)
 
 
-def _print_counts(fmt: str, tables: dict[str, CountTable]) -> None:
-    """Write count tables as comma-separated lines, or as JSON: a list for one
-    table, an object keyed by method for several.
+def _print_counts(fmt: str, texts: dict[str, Iterable[str]]) -> None:
+    """Write each method's count texts as one comma-separated line, or as JSON:
+    a list for one method, an object keyed by method for several.
 
-    Both formats are written value by value, so the whole text is never held
-    in memory.  Counts at large semilengths have more digits than Python's
-    default int-to-text limit allows, so the limit is lifted while writing and
-    restored afterwards (Python 3.10.0-3.10.6 has no limit).
+    The texts are written one by one as they are taken, so no table's text
+    is ever held in memory.  Tables reach here as ``map(str, ...)``, and
+    counts at large semilengths have more digits than Python's default
+    int-to-text limit allows, so the limit is lifted while writing and
+    restored afterwards (Python 3.10.0-3.10.6 has no limit).  Series texts
+    come from :func:`rdyck.counting._series_texts` and never meet it.
     """
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
+    write = sys.stdout.write
+
+    def write_joined(values: Iterable[str], separator: str) -> None:
+        lead = ""
+        for text in values:
+            write(lead + text)
+            lead = separator
+
     try:
         if fmt == "json":
-            keyed = len(tables) > 1
-            print("{" if keyed else "", end="")
-            for i, (method, table) in enumerate(tables.items()):
+            keyed = len(texts) > 1
+            write("{" if keyed else "")
+            for i, (method, values) in enumerate(texts.items()):
                 key = f"{json.dumps(method)}: " if keyed else ""
-                print(f"{', ' if i else ''}{key}[", end="")
-                print(*table.values, sep=", ", end="]")
-            print("}" if keyed else "")
+                write(f"{', ' if i else ''}{key}[")
+                write_joined(values, ", ")
+                write("]")
+            write("}\n" if keyed else "\n")
         else:
-            for table in tables.values():
-                print(*table.values, sep=",")
+            for values in texts.values():
+                write_joined(values, ",")
+                write("\n")
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
@@ -154,21 +167,21 @@ def _cmd_count(args: argparse.Namespace) -> int:
     q = _q(args)
     path_class = _CLASSES[args.path_class]
     methods = ["enumeration", "recurrence", "series"] if args.all_methods else [args.method]
-    tables = {}
+    texts: dict[str, Iterable[str]] = {}
     for method in methods:
         if method == "enumeration":
             _ensure_cap(args, args.nmax)
-            tables[method] = count_enumeration(q, path_class, args.nmax)
+            texts[method] = map(str, count_enumeration(q, path_class, args.nmax).values)
         elif method == "recurrence":
-            tables[method] = count_recurrence(q, path_class, args.nmax)
+            texts[method] = map(str, count_recurrence(q, path_class, args.nmax).values)
         else:
-            tables[method] = series_coeffs(class_gf(q, path_class), args.nmax)
-    _print_counts(args.format, tables)
+            texts[method] = _series_texts(class_gf(q, path_class), args.nmax)
+    _print_counts(args.format, texts)
     return 0
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    _print_counts(args.format, {"series": series_coeffs(_GFS[args.gf](_q(args)), args.nmax)})
+    _print_counts(args.format, {"series": _series_texts(_GFS[args.gf](_q(args)), args.nmax)})
     return 0
 
 
@@ -227,11 +240,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # checks; where the oracle disagrees, they take the oracle's members, so
     # that one fault of the generator fails one check.  The composition
     # checks compare the compositions of n - 1 with the family of semilength
-    # n over their part set.
+    # n over their part set.  Where s = t*r + 1, the bijection is checked at
+    # n - t - 1, onto the restricted family at n; each quasi tuple waits for
+    # it t + 1 semilengths, and no longer.
     generation = dict.fromkeys(PathClass, "")
     intersection = ""
     part_sets = {"unbounded": (False, PathClass.RATIONAL), "bounded": (True, PathClass.RESTRICTED)}
     compositions = dict.fromkeys(part_sets, "")
+    t = (q.s - 1) // q.r
+    bijective = valley_slope(q) is not None
+    bijection = ""
+    waiting: dict[int, tuple[DyckPath, ...]] = {}
     for n in range(nmax + 1):
         families = {}
         for path_class, detail in generation.items():
@@ -254,6 +273,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for label, (finite, path_class) in part_sets.items():
             if n and not compositions[label]:
                 compositions[label] = _composition_fault(q, PartSet(q, finite), n - 1, families[path_class])
+        if bijective:
+            waiting[n] = families[PathClass.QUASI]
+            if n > t:
+                domain = waiting.pop(n - t - 1)
+                if not bijection:
+                    bijection = _bijection_fault(q, n - t - 1, domain, families[PathClass.RESTRICTED])
+    if bijective and nmax <= t:
+        # n = 0 is checked all the same, onto images past nmax
+        bijection = _bijection_fault(q, 0, waiting[0], generate(q, PathClass.RESTRICTED, t + 1))
 
     for path_class, detail in generation.items():
         report(f"generation {path_class.value}", not detail, detail)
@@ -272,29 +300,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for label, detail in compositions.items():
         report(f"compositions {label}", not detail, detail)
 
-    t = (q.s - 1) // q.r
-    if valley_slope(q) is not None:
-        detail = ""
-        for n in range(max(0, nmax - t - 1) + 1):
-            rep = check_bijection(q, n)
-            if not (rep.injective and rep.surjective and rep.card_domain == rep.card_codomain):
-                detail = f"n={n} domain={rep.card_domain} codomain={rep.card_codomain}"
-                break
-            bad = next(
-                (p for p in generate(q, PathClass.QUASI, n) if phi_inv(q, phi(q, p)) != p),
-                None,
-            )
-            if bad is not None:
-                detail = f"n={n} path={bad.steps}"
-                break
-            bad = next(
-                (p for p in generate(q, PathClass.RESTRICTED, n + t + 1) if phi(q, phi_inv(q, p)) != p),
-                None,
-            )
-            if bad is not None:
-                detail = f"n={n} image={bad.steps}"
-                break
-        report("bijection", not detail, detail)
+    if bijective:
+        report("bijection", not bijection, bijection)
     else:
         try:
             left, right = collision_pair(q)
@@ -328,6 +335,25 @@ def _composition_fault(q: RationalParam, part_set: PartSet, n: int, paths: tuple
     bad = next((p for p in paths if comp_to_path(q, path_to_comp(q, p)) != p), None)
     if bad is not None:
         return f"n={n} path={bad.steps}"
+    return ""
+
+
+def _bijection_fault(
+    q: RationalParam, n: int, domain: tuple[DyckPath, ...], codomain: tuple[DyckPath, ...]
+) -> str:
+    """The first fault of the quasi->restricted map from semilength ``n``, where
+    ``domain`` and ``codomain`` are the quasi family at n and the restricted
+    family at n + t + 1: the report of :func:`check_bijection`, then the round
+    trips over both; empty when there is none."""
+    rep = check_bijection(q, n)
+    if not (rep.injective and rep.surjective and rep.card_domain == rep.card_codomain):
+        return f"n={n} domain={rep.card_domain} codomain={rep.card_codomain}"
+    bad = next((p for p in domain if phi_inv(q, phi(q, p)) != p), None)
+    if bad is not None:
+        return f"n={n} path={bad.steps}"
+    bad = next((p for p in codomain if phi(q, phi_inv(q, p)) != p), None)
+    if bad is not None:
+        return f"n={n} image={bad.steps}"
     return ""
 
 

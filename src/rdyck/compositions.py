@@ -50,7 +50,8 @@ class Composition:
         if text == "0":
             return cls()
         tokens = text.split("+")
-        if not all(token.isdigit() for token in tokens):
+        # str.isdigit alone also passes other scripts' digits and superscripts
+        if not all(token.isascii() and token.isdigit() for token in tokens):
             raise ValueError(f"bad composition {text!r}; expected '0' or '+'-joined parts")
         return cls(tuple(int(token) for token in tokens))
 

@@ -10,6 +10,7 @@ import pytest
 import rdyck
 import rdyck.classes
 import rdyck.cli
+import rdyck.counting
 from rdyck import (
     DyckPath,
     PathClass,
@@ -218,6 +219,43 @@ class TestSeries:
         assert code == 0
         assert json.loads(out) == [1, 1, 1, 2, 3, 5]
 
+    @pytest.mark.parametrize("fmt", ["lines", "json"])
+    def test_small_limbs_do_not_show(self, capsys, monkeypatch, fmt):
+        # the series method prints from limbs of _LIMB_DIGITS digits, the
+        # other methods through str; the bytes must not tell them apart
+        values = list(series_coeffs(rational_gf(RationalParam(1, 1)), 300).values)
+        monkeypatch.setattr(rdyck.counting, "_LIMB_DIGITS", 2)
+        series = invoke(capsys, "series", "--q", "1/1", "--gf", "rational", "--nmax", "300", "--format", fmt)
+        count = invoke(
+            capsys, "count", "--class", "r", "--q", "1/1", "--nmax", "300", "--method", "series", "--format", fmt
+        )
+        expected = json.dumps(values) if fmt == "json" else ",".join(map(str, values))
+        assert series == count == (0, expected + "\n", "")
+
+    def test_memory_is_bounded(self, monkeypatch):
+        class Discard:
+            written = 0
+
+            def write(self, text):
+                self.written += len(text)
+                return len(text)
+
+        table = series_coeffs(rational_gf(RationalParam(1, 1)), 4000).values
+        table_bytes = sum(map(sys.getsizeof, table))
+        sink = Discard()
+        monkeypatch.setattr(sys, "stdout", sink)
+        argv = ["series", "--q", "1/1", "--gf", "rational", "--nmax", "4000"]
+        run(argv[:-1] + ["10"])  # imports and caches of a first call are not the table's
+        tracemalloc.start()
+        try:
+            code = run(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.written > 2 * table_bytes
+        assert peak < table_bytes // 8
+
 
 class TestDigitLimit:
     @needs_digit_limit
@@ -258,7 +296,7 @@ class TestDigitLimit:
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            rdyck.cli._print_counts("json", tables)
+            rdyck.cli._print_counts("json", {method: map(str, t.values) for method, t in tables.items()})
             assert sys.get_int_max_str_digits() == 640
         finally:
             sys.set_int_max_str_digits(previous)
@@ -320,6 +358,12 @@ class TestMap:
     def test_empty_composition(self, capsys):
         code, out, _ = invoke(capsys, "map", "comp2path", "--q", "3/4", "0")
         assert (code, out) == (0, "UD\n")
+
+    @pytest.mark.parametrize("text", ["\u00b2", "1+\u0663"], ids=["superscript-two", "arabic-indic-three"])
+    def test_non_ascii_digits_are_bad_compositions(self, capsys, text):
+        code, out, err = invoke(capsys, "map", "comp2path", "--q", "3/4", text)
+        assert (code, out) == (1, "")
+        assert err == f"error: bad composition {text!r}; expected '0' or '+'-joined parts\n"
 
     def test_non_member_is_domain_error(self, capsys):
         code, _, err = invoke(capsys, "map", "path2comp", "--q", "3/4", "UUDDUDUUDUDDUDUD")
@@ -452,6 +496,38 @@ class TestVerify:
         composition_failure = "FAIL compositions bounded: n=2 compositions=1 paths=0"
         expected = VERIFY_3_4.replace("ok intersection", failure)
         assert out == expected.replace("ok compositions bounded", composition_failure)
+
+    @pytest.mark.parametrize("nmax,extra", [(8, []), (1, [(PathClass.RESTRICTED, 3)])], ids=["8", "1"])
+    def test_round_trips_read_the_loop_families(self, capsys, monkeypatch, nmax, extra):
+        # only the generation loop calls generate; past it, only n = 0 when
+        # nmax <= t, whose images lie past nmax (t = 2 at 1/3)
+        real = rdyck.cli.generate
+        calls = []
+
+        def recorded(q, path_class, n):
+            calls.append((path_class, n))
+            return real(q, path_class, n)
+
+        monkeypatch.setattr(rdyck.cli, "generate", recorded)
+        code, out, _ = invoke(capsys, "verify", "--q", "1/3", "--nmax", str(nmax))
+        assert code == 0
+        assert out.splitlines()[-1] == "ok bijection"
+        assert calls == [(path_class, n) for n in range(nmax + 1) for path_class in PathClass] + extra
+
+    def test_round_trip_fault_names_its_path(self, capsys, monkeypatch):
+        # phi_inv goes wrong on one restricted path of semilength 7 at 3/4
+        # (t = 1), the image of one quasi path of semilength 5
+        real = rdyck.cli.phi_inv
+        wrong = DyckPath("UD" * 7)
+
+        def faulty(q, path):
+            return wrong if path.steps == "UUDUDDUDUDUDUD" else real(q, path)
+
+        assert rdyck.cli.phi(RationalParam(3, 4), DyckPath("UUDUDUDDUD")).steps == "UUDUDDUDUDUDUD"
+        monkeypatch.setattr(rdyck.cli, "phi_inv", faulty)
+        code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
+        assert code == 1
+        assert out == VERIFY_3_4.replace("ok bijection", "FAIL bijection: n=5 path=UUDUDUDDUD")
 
     @pytest.mark.parametrize("qtext", ["3/4", "1/2", "3/2"])
     def test_passes(self, capsys, qtext):

@@ -27,9 +27,9 @@ class TestComposition:
         assert Composition().to_text() == "0"
         assert Composition.from_text("0") == Composition()
 
-    @pytest.mark.parametrize("text", ["", "1+", "+1", "1+x", "1 + 3"])
+    @pytest.mark.parametrize("text", ["", "1+", "+1", "1+x", "1 + 3", "\u00b2", "1+\u0663"])
     def test_bad_text_rejected(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bad composition"):
             Composition.from_text(text)
 
     @pytest.mark.parametrize("parts", [(0,), (-1,), (1.5,)])

@@ -1,5 +1,9 @@
+import sys
+from math import gcd
+
 import pytest
 
+import rdyck.counting
 from rdyck import (
     CountTable,
     PathClass,
@@ -18,6 +22,7 @@ from rdyck import (
     restricted_gf,
     series_coeffs,
 )
+from rdyck.counting import _series_texts
 
 Q_SAMPLE = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 5)]
 
@@ -150,6 +155,61 @@ class TestSeriesCoeffs:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             series_coeffs(rational_gf(RationalParam(1, 1)), -1)
+
+
+class TestSeriesTexts:
+    @pytest.mark.parametrize("digits", [1, 2, 3, 7, rdyck.counting._LIMB_DIGITS])
+    def test_equal_to_the_coefficients(self, monkeypatch, digits):
+        # small limbs make every coefficient span many of them, so carries and
+        # the borrows of den's negative terms cross limb boundaries throughout
+        monkeypatch.setattr(rdyck.counting, "_LIMB_DIGITS", digits)
+        for r in range(1, 9):
+            for s in range(1, 9):
+                if gcd(r, s) != 1:
+                    continue
+                q = RationalParam(r, s)
+                for gf in (rational_gf, restricted_gf, quasi_gf, compositions_gf):
+                    series = gf(q)
+                    expected = list(map(str, series_coeffs(series, 300).values))
+                    assert list(_series_texts(series, 300)) == expected
+                    assert list(_series_texts(series, 0)) == expected[:1]
+
+    @pytest.mark.parametrize("digits", [1, 2])
+    def test_zero_and_shrinking_coefficients(self, monkeypatch, digits):
+        # (1 + 2x)/(1 - x^3) has zeros between its nonzero terms, and 0/1 has
+        # only zeros; (100 - 95x)/(1 - x) falls from 100 to 5, so its top
+        # limbs become zero and must not be written
+        monkeypatch.setattr(rdyck.counting, "_LIMB_DIGITS", digits)
+        series = RationalSeries(Polynomial([1, 2]), Polynomial([1, 0, 0, -1]))
+        assert list(_series_texts(series, 7)) == ["1", "2", "0", "1", "2", "0", "1", "2"]
+        assert list(_series_texts(RationalSeries(Polynomial(), Polynomial([1])), 2)) == ["0", "0", "0"]
+        falling = RationalSeries(Polynomial([100, -95]), Polynomial([1, -1]))
+        assert list(_series_texts(falling, 2)) == ["100", "5", "5"]
+
+    def test_negative_coefficient_is_the_table_error(self):
+        with pytest.raises(ValueError) as table_error:
+            CountTable((1, -1))
+        alternating = RationalSeries(Polynomial([1]), Polynomial([1, 1]))
+        with pytest.raises(ValueError) as text_error:
+            list(_series_texts(alternating, 3))
+        assert str(text_error.value) == str(table_error.value)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            list(_series_texts(rational_gf(RationalParam(1, 1)), -1))
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-text digit limit")
+    def test_limbs_stay_below_the_strictest_digit_limit(self):
+        # the 1/1 counts pass 640 digits well before n = 3000, the limit is
+        # not lifted here, and 640 is the smallest limit Python accepts
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            texts = list(_series_texts(rational_gf(RationalParam(1, 1)), 3000))
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert len(texts[-1]) > 640
+        assert texts == list(map(str, series_coeffs(rational_gf(RationalParam(1, 1)), 3000).values))
 
 
 class TestRecurrence:

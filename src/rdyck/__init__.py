@@ -12,85 +12,11 @@ and restricted families with its collision analysis (:mod:`rdyck.bijection`).
 A CLI (``rdyck``) exposes every operation.
 """
 
-from rdyck.bijection import PhiReport, check_bijection, collision_pair, phi, phi_inv
-from rdyck.classes import PathClass, generate, iter_generate, member, oracle_all_height2, oracle_generate
-from rdyck.compositions import (
-    Composition,
-    PartSet,
-    comp_to_path,
-    enumerate_compositions,
-    parts_upto,
-    path_to_comp,
-)
-from rdyck.core import (
-    EMPTY_PATH,
-    DyckPath,
-    Factorization,
-    RationalParam,
-    defactorize,
-    factorize,
-    height,
-    min_valleys,
-    part_size,
-    semilength,
-    valley_slope,
-)
-from rdyck.counting import (
-    CountTable,
-    Polynomial,
-    RationalSeries,
-    check_sum_identity,
-    class_gf,
-    compositions_gf,
-    count_enumeration,
-    count_recurrence,
-    quasi_gf,
-    rational_gf,
-    rational_gf_unreduced,
-    restricted_gf,
-    series_coeffs,
-)
+from rdyck import bijection, classes, compositions, core, counting
+from rdyck.bijection import *
+from rdyck.classes import *
+from rdyck.compositions import *
+from rdyck.core import *
+from rdyck.counting import *
 
-__all__ = [
-    "Composition",
-    "CountTable",
-    "DyckPath",
-    "EMPTY_PATH",
-    "Factorization",
-    "PartSet",
-    "PathClass",
-    "PhiReport",
-    "Polynomial",
-    "RationalParam",
-    "RationalSeries",
-    "check_bijection",
-    "check_sum_identity",
-    "class_gf",
-    "collision_pair",
-    "comp_to_path",
-    "compositions_gf",
-    "count_enumeration",
-    "count_recurrence",
-    "defactorize",
-    "enumerate_compositions",
-    "factorize",
-    "generate",
-    "height",
-    "iter_generate",
-    "member",
-    "min_valleys",
-    "oracle_all_height2",
-    "oracle_generate",
-    "part_size",
-    "parts_upto",
-    "path_to_comp",
-    "phi",
-    "phi_inv",
-    "quasi_gf",
-    "rational_gf",
-    "rational_gf_unreduced",
-    "restricted_gf",
-    "semilength",
-    "series_coeffs",
-    "valley_slope",
-]
+__all__ = [*core.__all__, *classes.__all__, *counting.__all__, *compositions.__all__, *bijection.__all__]

@@ -44,7 +44,6 @@ from rdyck.core import (
     _render_blocks,
     _scan_blocks,
     min_valleys,
-    path_sort_key,
     semilength,
     valley_slope,
 )
@@ -124,7 +123,8 @@ def check_bijection(q: RationalParam, n: int) -> PhiReport:
     for source in domain:
         fibers.setdefault(_apply(q, t, source), []).append(source)
     collisions: list[tuple[DyckPath, DyckPath]] = []
-    for image in sorted(fibers, key=path_sort_key):
+    # U < D order: the images share one length, so it is text order reversed
+    for image in sorted(fibers, key=lambda path: path.steps, reverse=True):
         collisions.extend(combinations(fibers[image], 2))
     return PhiReport(
         q=q,

@@ -24,7 +24,7 @@ from rdyck.compositions import (
     enumerate_compositions,
     path_to_comp,
 )
-from rdyck.core import DyckPath, RationalParam, semilength, valley_slope
+from rdyck.core import DyckPath, RationalParam, _parse_int, semilength, valley_slope
 from rdyck.counting import (
     _series_texts,
     class_gf,
@@ -82,10 +82,10 @@ def _ensure_cap(args: argparse.Namespace, n: int) -> None:
 
 def _semilength_arg(text: str) -> int:
     """argparse type of --n/--nmax, also used for RDYCK_MAX_N: a non-negative
-    integer, else a usage error."""
+    integer in ASCII digits, else a usage error."""
     try:
-        value = int(text)
-        if value >= 0:
+        value = _parse_int(text)
+        if value is not None and value >= 0:
             return value
     except ValueError:
         pass

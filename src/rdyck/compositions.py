@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from rdyck.classes import PathClass, _accepts
-from rdyck.core import DyckPath, RationalParam, _scan_blocks, min_valleys, part_size
+from rdyck.core import DyckPath, RationalParam, _parse_int, _scan_blocks, min_valleys, part_size
 
 __all__ = [
     "Composition",
@@ -34,7 +34,8 @@ class Composition:
 
     def __post_init__(self) -> None:
         for part in self.parts:
-            if not isinstance(part, int) or part < 1:
+            # bool is an int subclass, but True+2 is no composition
+            if type(part) is not int or part < 1:
                 raise ValueError(f"parts must be positive integers, got {part!r}")
 
     def total(self) -> int:
@@ -49,11 +50,11 @@ class Composition:
         """Inverse of to_text."""
         if text == "0":
             return cls()
-        tokens = text.split("+")
-        # str.isdigit alone also passes other scripts' digits and superscripts
-        if not all(token.isascii() and token.isdigit() for token in tokens):
+        parts = tuple(_parse_int(token) for token in text.split("+"))
+        # a part takes no sign, not even "-0", which the parser reads as 0
+        if "-" in text or None in parts:
             raise ValueError(f"bad composition {text!r}; expected '0' or '+'-joined parts")
-        return cls(tuple(int(token) for token in tokens))
+        return cls(parts)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,11 @@ interior runs are nonempty (p_i >= 1 for i >= 2, v_i >= 1 for i <= k-1); only
 the leading peak run and the trailing valley run may be empty, and the path
 UD is the k = 0 case.
 
+``factorize`` reads the blocks of a path as a tuple of (p_i, v_i) pairs,
+and ``defactorize`` checks a tuple for maximality and builds its path.  The
+rest of the package reads and writes blocks through the unchecked
+``_scan_blocks`` and ``_render_blocks`` that these two wrap.
+
 The membership rules of :mod:`rdyck.classes` are all phrased in terms of this
 block view, together with a coprime pair r/s (:class:`RationalParam`) and its
 derived quantities: a run of p peaks demands at least ceil(p*s/r) valleys
@@ -30,19 +35,15 @@ from dataclasses import dataclass
 __all__ = [
     "DyckPath",
     "EMPTY_PATH",
-    "Factorization",
     "RationalParam",
     "defactorize",
     "factorize",
-    "height",
     "min_valleys",
     "part_size",
-    "path_sort_key",
     "semilength",
     "valley_slope",
 ]
 
-_STEP_ORDER = str.maketrans("UD", "01")
 _SWAP_STEPS = str.maketrans("UD", "DU")
 _BLOCK = re.compile("(U*)(D*)")
 
@@ -119,6 +120,15 @@ def _low_paths(joined: str, count: int) -> bool:
 EMPTY_PATH = DyckPath("")
 
 
+def _parse_int(text: str) -> int | None:
+    """The integer spelled by ``text`` in ASCII digits after an optional '-',
+    else None.  Bare ``int`` also takes '_', spaces, '+' and other scripts'
+    digits.  Past Python's int-to-text digit limit, ``int`` raises its
+    ValueError all the same."""
+    digits = text[1:] if text.startswith("-") else text
+    return int(text) if digits.isascii() and digits.isdigit() else None
+
+
 @dataclass(frozen=True)
 class RationalParam:
     """A positive rational r/s in lowest terms; the parameter of every family here.
@@ -131,7 +141,8 @@ class RationalParam:
     s: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.r, int) or not isinstance(self.s, int):
+        # bool is an int subclass, but True/2 is no parameter
+        if type(self.r) is not int or type(self.s) is not int:
             raise ValueError("r and s must be integers")
         if self.r < 1 or self.s < 1:
             raise ValueError(f"r and s must be positive, got {self.r}/{self.s}")
@@ -145,46 +156,15 @@ class RationalParam:
         if not sep:
             raise ValueError(f"expected 'R/S', got {text!r}")
         try:
-            r, s = int(head), int(tail)
+            r, s = _parse_int(head), _parse_int(tail)
         except ValueError:
-            raise ValueError(f"expected integers in 'R/S', got {text!r}") from None
+            r = s = None
+        if r is None or s is None:
+            raise ValueError(f"expected integers in 'R/S', got {text!r}")
         return cls(r, s)
 
     def __str__(self) -> str:
         return f"{self.r}/{self.s}"
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """The maximal peak/valley runs (p_i, v_i) of a nonempty height-<=2 path.
-
-    The path UD has no blocks at all; a single block (0, 0) is rejected so
-    that every path has exactly one encoding.
-    """
-
-    blocks: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        last = len(self.blocks) - 1
-        for i, (peaks, valleys) in enumerate(self.blocks):
-            if peaks < 0 or valleys < 0:
-                raise ValueError(f"block counts must be non-negative, got {(peaks, valleys)}")
-            if i > 0 and peaks == 0:
-                raise ValueError("non-maximal blocks: interior peak run is empty")
-            if i < last and valleys == 0:
-                raise ValueError("non-maximal blocks: interior valley run is empty")
-        if self.blocks == ((0, 0),):
-            raise ValueError("the path UD is encoded by an empty block sequence")
-
-
-def height(path: DyckPath) -> int:
-    """Largest level the path reaches; 0 for the empty path."""
-    level = top = 0
-    for ch in path.steps:
-        level += 1 if ch == "U" else -1
-        if level > top:
-            top = level
-    return top
 
 
 def semilength(path: DyckPath) -> int:
@@ -192,18 +172,18 @@ def semilength(path: DyckPath) -> int:
     return len(path.steps) // 2
 
 
-def factorize(path: DyckPath) -> Factorization:
-    """Split a nonempty height-<=2 path into its maximal block runs.
+def factorize(path: DyckPath) -> tuple[tuple[int, int], ...]:
+    """The maximal (peaks, valleys) runs of a nonempty height-<=2 path.
 
     One scan of the step text (``_scan_blocks``) both checks the height and
-    reads off the runs.
+    reads off the runs.  The path UD has no blocks at all.
     """
     if not path.steps:
         raise ValueError("the empty path has no block factorization")
     blocks = _scan_blocks(path.steps)
     if blocks is None:
         raise ValueError(f"block factorization needs height <= 2: {path.steps!r}")
-    return Factorization(blocks)
+    return blocks
 
 
 def _scan_blocks(steps: str) -> tuple[tuple[int, int], ...] | None:
@@ -224,16 +204,32 @@ def _scan_blocks(steps: str) -> tuple[tuple[int, int], ...] | None:
     return tuple((len(peaks), len(valleys)) for peaks, valleys in runs if peaks or valleys)
 
 
-def defactorize(fact: Factorization) -> DyckPath:
-    """Rebuild the unique path with the given blocks; inverse of factorize."""
-    return DyckPath(_render_blocks(fact.blocks))
+def defactorize(blocks: tuple[tuple[int, int], ...]) -> DyckPath:
+    """Rebuild the unique path with the given maximal blocks; inverse of factorize.
+
+    Only the leading peak run and the trailing valley run may be empty, and a
+    single block (0, 0) is rejected, so that every path has exactly one
+    encoding.
+    """
+    last = len(blocks) - 1
+    for i, (peaks, valleys) in enumerate(blocks):
+        if peaks < 0 or valleys < 0:
+            raise ValueError(f"block counts must be non-negative, got {(peaks, valleys)}")
+        if i > 0 and peaks == 0:
+            raise ValueError("non-maximal blocks: interior peak run is empty")
+        if i < last and valleys == 0:
+            raise ValueError("non-maximal blocks: interior valley run is empty")
+    if blocks == ((0, 0),):
+        raise ValueError("the path UD is encoded by an empty block sequence")
+    return DyckPath(_render_blocks(blocks))
 
 
 def _render_blocks(blocks: tuple[tuple[int, int], ...]) -> str:
     """The step text U (UD)^p1 (DU)^v1 ... (UD)^pk (DU)^vk D of the given runs.
 
-    Maximality is not checked: the maps of :mod:`rdyck.bijection` also build
-    final blocks (p, 0), and (0, 0) for the path UD.
+    Maximality is not checked here, only in ``defactorize``: the maps of
+    :mod:`rdyck.bijection` also build final blocks (p, 0), and (0, 0) for the
+    path UD.
     """
     mid = "".join("UD" * peaks + "DU" * valleys for peaks, valleys in blocks)
     return f"U{mid}D"
@@ -269,7 +265,3 @@ def valley_slope(q: RationalParam) -> int | None:
         return (q.s - 1) // q.r
     return None
 
-
-def path_sort_key(path: DyckPath) -> tuple[int, str]:
-    """Sort key ordering paths by semilength, then lexicographically with U < D."""
-    return (len(path.steps), path.steps.translate(_STEP_ORDER))

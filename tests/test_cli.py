@@ -561,7 +561,42 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert "usage" in err and "non-negative integer" in err
 
-    @pytest.mark.parametrize("value", ["abc", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--class", "r", "--q", "1/1", "--nmax", "1_0"],
+            ["count", "--class", "r", "--q", "1/1", "--nmax", "\u0665"],
+            ["count", "--class", "r", "--q", "1/1", "--nmax", " 5"],
+            ["count", "--class", "r", "--q", "1/1", "--nmax", "+5"],
+            ["series", "--q", "3/4", "--gf", "rational", "--nmax", "1_0"],
+            ["enumerate", "--class", "r", "--q", "3/4", "--n", "\uff14"],
+            ["check-bijection", "--q", "1/1", "--n", "0_1"],
+            ["verify", "--q", "3/4", "--nmax", "\u00b2"],
+        ],
+        ids=["underscore", "arabic-indic", "space", "plus", "series", "fullwidth", "check-bijection", "verify"],
+    )
+    def test_semilength_takes_ascii_digits_only(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"expected a non-negative integer, got {argv[-1]!r}" in err
+
+    @pytest.mark.parametrize("text", ["3_0/7", "\u0663/4", "+3/4"])
+    def test_q_takes_ascii_digits_only(self, capsys, text):
+        code, out, err = invoke(capsys, "count", "--class", "r", "--q", text, "--nmax", "3")
+        assert (code, out) == (1, "")
+        assert err == f"error: expected integers in 'R/S', got {text!r}\n"
+
+    @needs_digit_limit
+    def test_numbers_past_the_digit_limit_keep_their_messages(self, capsys, monkeypatch):
+        huge = "1" * 5000
+        code, out, err = invoke(capsys, "count", "--class", "r", "--q", f"{huge}/1", "--nmax", "1")
+        assert (code, out, err) == (1, "", f"error: expected integers in 'R/S', got '{huge}/1'\n")
+        monkeypatch.setenv("RDYCK_MAX_N", huge)
+        code, out, err = invoke(capsys, "member", "--class", "r", "--q", "3/4", "UD")
+        assert (code, out) == (2, "")
+        assert err == f"error: RDYCK_MAX_N: expected a non-negative integer, got '{huge}'\n"
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "2_5", "\u0662\u0665", " 25"])
     def test_bad_cap_variable(self, capsys, monkeypatch, value):
         # checked before any command runs, also for commands the cap never limits
         monkeypatch.setenv("RDYCK_MAX_N", value)

@@ -27,7 +27,9 @@ class TestComposition:
         assert Composition().to_text() == "0"
         assert Composition.from_text("0") == Composition()
 
-    @pytest.mark.parametrize("text", ["", "1+", "+1", "1+x", "1 + 3", "\u00b2", "1+\u0663"])
+    @pytest.mark.parametrize(
+        "text", ["", "1+", "+1", "1+x", "1 + 3", "\u00b2", "1+\u0663", "-1", "1+-0", "1_0", "3+"]
+    )
     def test_bad_text_rejected(self, text):
         with pytest.raises(ValueError, match="^bad composition"):
             Composition.from_text(text)
@@ -36,6 +38,16 @@ class TestComposition:
     def test_bad_parts_rejected(self, parts):
         with pytest.raises(ValueError):
             Composition(parts)
+
+    @pytest.mark.parametrize("parts", [(True, 2), (1, False)])
+    def test_bool_parts_rejected(self, parts):
+        bad = next(part for part in parts if isinstance(part, bool))
+        with pytest.raises(ValueError, match=f"^parts must be positive integers, got {bad!r}$"):
+            Composition(parts)
+
+    def test_zero_part_text_keeps_its_message(self):
+        with pytest.raises(ValueError, match="^parts must be positive integers, got 0$"):
+            Composition.from_text("1+0")
 
     def test_total(self):
         assert Composition((1, 3, 1)).total() == 5

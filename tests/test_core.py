@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import pytest
@@ -6,11 +7,9 @@ import pytest
 from rdyck import (
     EMPTY_PATH,
     DyckPath,
-    Factorization,
     RationalParam,
     defactorize,
     factorize,
-    height,
     min_valleys,
     oracle_all_height2,
     part_size,
@@ -70,13 +69,6 @@ class TestParseRender:
 class TestMeasures:
     @pytest.mark.parametrize(
         "text,expected",
-        [("UD", 1), ("UUDD", 2), ("UUUDDD", 3), ("", 0)],
-    )
-    def test_height(self, text, expected):
-        assert height(DyckPath(text)) == expected
-
-    @pytest.mark.parametrize(
-        "text,expected",
         [("", 0), ("UDUD", 2), ("UUDDUDUUDUDDUDUDUDUD", 10)],
     )
     def test_semilength(self, text, expected):
@@ -85,21 +77,21 @@ class TestMeasures:
 
 class TestFactorization:
     def test_worked_example(self):
-        assert factorize(DyckPath("UUDDUDUUDUDDUDUD")).blocks == ((1, 2), (2, 2))
+        assert factorize(DyckPath("UUDDUDUUDUDDUDUD")) == ((1, 2), (2, 2))
 
     def test_single_arch(self):
-        assert factorize(DyckPath("UD")).blocks == ()
+        assert factorize(DyckPath("UD")) == ()
 
     def test_all_valleys(self):
         # hand expansion of U(DU)(DU)D, confirmed by the round trip below
         fact = factorize(DyckPath("UDUDUD"))
-        assert fact.blocks == ((0, 2),)
+        assert fact == ((0, 2),)
         assert defactorize(fact) == DyckPath("UDUDUD")
 
     def test_defactorize_examples(self):
-        assert defactorize(Factorization(())) == DyckPath("UD")
-        assert defactorize(Factorization(((1, 2), (2, 4)))) == DyckPath("UUDDUDUUDUDDUDUDUDUD")
-        assert defactorize(Factorization(((1, 0),))) == DyckPath("UUDD")
+        assert defactorize(()) == DyckPath("UD")
+        assert defactorize(((1, 2), (2, 4))) == DyckPath("UUDDUDUUDUDDUDUDUDUD")
+        assert defactorize(((1, 0),)) == DyckPath("UUDD")
 
     def test_rejects_empty_path(self):
         with pytest.raises(ValueError):
@@ -121,7 +113,20 @@ class TestFactorization:
     )
     def test_invalid_blocks_rejected(self, blocks):
         with pytest.raises(ValueError):
-            Factorization(blocks)
+            defactorize(blocks)
+
+    @pytest.mark.parametrize(
+        "blocks,message",
+        [
+            (((0, 0),), "the path UD is encoded by an empty block sequence"),
+            (((1, 2), (0, 1)), "non-maximal blocks: interior peak run is empty"),
+            (((1, 0), (1, 1)), "non-maximal blocks: interior valley run is empty"),
+            (((1, -1),), "block counts must be non-negative, got (1, -1)"),
+        ],
+    )
+    def test_invalid_blocks_messages(self, blocks, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            defactorize(blocks)
 
     def test_round_trip_both_ways(self):
         for n in range(1, 8):
@@ -133,7 +138,7 @@ class TestFactorization:
     def test_semilength_bookkeeping(self):
         for n in range(1, 8):
             for p in oracle_all_height2(n):
-                blocks = factorize(p).blocks
+                blocks = factorize(p)
                 assert semilength(p) == 1 + sum(a + b for a, b in blocks)
 
 
@@ -155,6 +160,25 @@ class TestRationalParam:
     def test_from_string_rejects(self, text):
         with pytest.raises(ValueError):
             RationalParam.from_string(text)
+
+    @pytest.mark.parametrize("text", ["3_0/7", "3/1_1", " 3/4", "3/4 ", "+3/4", "3/+4", "\u0663/4", "3/\u00b2", "--1/2"])
+    def test_from_string_takes_ascii_digits_only(self, text):
+        with pytest.raises(ValueError, match=f"^expected integers in 'R/S', got {re.escape(repr(text))}$"):
+            RationalParam.from_string(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [("-1/2", "r and s must be positive, got -1/2"), ("3/-0", "r and s must be positive, got 3/0"),
+         ("2/4", "r/s must be in lowest terms, got 2/4"), ("3", "expected 'R/S', got '3'")],
+    )
+    def test_from_string_messages(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RationalParam.from_string(text)
+
+    @pytest.mark.parametrize("r,s", [(True, 2), (3, True), (False, 1), (1.0, 2)])
+    def test_rejects_non_int(self, r, s):
+        with pytest.raises(ValueError, match="^r and s must be integers$"):
+            RationalParam(r, s)
 
 
 class TestDerivedQuantities:

@@ -1,11 +1,11 @@
 import math
+from itertools import accumulate
 
 from hypothesis import example, given, settings, strategies as st
 
 from rdyck import (
     Composition,
     DyckPath,
-    Factorization,
     PartSet,
     PathClass,
     RationalParam,
@@ -14,7 +14,6 @@ from rdyck import (
     enumerate_compositions,
     factorize,
     generate,
-    height,
     member,
     oracle_all_height2,
     oracle_generate,
@@ -28,18 +27,23 @@ from rdyck.classes import _member_walk
 from rdyck.core import _low_paths
 
 
+def height(path):
+    """Largest level the path reaches; 0 for the empty path."""
+    return max(accumulate(1 if ch == "U" else -1 for ch in path.steps), default=0)
+
+
 @st.composite
 def factorizations(draw):
     k = draw(st.integers(min_value=0, max_value=5))
     if k == 0:
-        return Factorization(())
+        return ()
     peaks = [draw(st.integers(min_value=0, max_value=4))]
     peaks += [draw(st.integers(min_value=1, max_value=4)) for _ in range(k - 1)]
     valleys = [draw(st.integers(min_value=1, max_value=4)) for _ in range(k - 1)]
     valleys += [draw(st.integers(min_value=0, max_value=4))]
     if k == 1 and peaks[0] == 0 and valleys[0] == 0:
         valleys[0] = 1
-    return Factorization(tuple(zip(peaks, valleys)))
+    return tuple(zip(peaks, valleys))
 
 
 @st.composite
@@ -62,7 +66,7 @@ def test_factorize_inverts_defactorize(fact):
     path = defactorize(fact)
     assert height(path) <= 2
     assert factorize(path) == fact
-    assert semilength(path) == 1 + sum(p + v for p, v in fact.blocks)
+    assert semilength(path) == 1 + sum(p + v for p, v in fact)
 
 
 @given(height2_paths())

@@ -1,14 +1,17 @@
 """The semilength-raising map between the quasi and restricted families.
 
 For q = r/s with s = t*r + 1 (t >= 0 an integer, see
-:func:`rdyck.core.valley_slope`), every quasi member of semilength n maps to
-a restricted member of semilength n + t + 1, bijectively.  The map works on
-the final block (p, v) of the block decomposition
-U (UD)^p1 (DU)^v1 ... (UD)^pk (DU)^vk D of :mod:`rdyck.core`: it moves the
-fewest peaks h of that block into valleys such that, once t + 1 further
-valleys are added, the block meets the valley demand of its p - h peaks, and
-then adds the t + 1 valleys.  The new final block is (p - h, v + h + t + 1),
-with the closed form h = max(0, ceil((p*t - v + 1)/(t + 1)) - 1).
+:func:`rdyck.core.valley_slope`), every quasi member of semilength n maps to a
+restricted member of semilength n + t + 1, bijectively and in U<D order: the
+i-th quasi member goes to the i-th restricted member.  That order is measured,
+not proved (every r <= 10, t <= 5 and n <= 18); where it broke, `rdyck verify`
+would fail, never pass falsely.  The map works on the final block (p, v) of
+the block decomposition U (UD)^p1 (DU)^v1 ... (UD)^pk (DU)^vk D of
+:mod:`rdyck.core`: it moves the fewest peaks h of that block into valleys
+such that, once t + 1 further valleys are added, the block meets the valley
+demand of its p - h peaks, and then adds the t + 1 valleys.  The new final
+block is (p - h, v + h + t + 1), with the closed form
+h = max(0, ceil((p*t - v + 1)/(t + 1)) - 1).
 
 * The empty path maps to (UD)^(t+1), and the path UD, which has no blocks,
   is read as the single block (0, 0).

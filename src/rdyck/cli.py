@@ -235,14 +235,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     # n outermost, so that the oracle filters each semilength's candidates once
     # for all three families, and every check that needs a family at n reads
-    # the one tuple built for it.  A family is no longer checked against the
-    # oracle after its first failure, but is still built for the other
-    # checks; where the oracle disagrees, they take the oracle's members, so
-    # that one fault of the generator fails one check.  The composition
-    # checks compare the compositions of n - 1 with the family of semilength
-    # n over their part set.  Where s = t*r + 1, the bijection is checked at
-    # n - t - 1, onto the restricted family at n; each quasi tuple waits for
-    # it t + 1 semilengths, and no longer.
+    # the one tuple built for it, in U<D order.  A family is no longer checked
+    # against the oracle after its first failure, but is still built for the
+    # other checks; where the oracle disagrees, they take the oracle's members,
+    # so that one fault of the generator fails one check.  One ordered pass
+    # proves each map: compositions of n - 1 onto the family of semilength n
+    # and, where s = t*r + 1, quasi at n - t - 1 onto restricted at n (each
+    # quasi tuple waits t + 1 semilengths for it).
     generation = dict.fromkeys(PathClass, "")
     intersection = ""
     part_sets = {"unbounded": (False, PathClass.RATIONAL), "bounded": (True, PathClass.RESTRICTED)}
@@ -324,17 +323,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _composition_fault(q: RationalParam, part_set: PartSet, n: int, paths: tuple[DyckPath, ...]) -> str:
     """The first fault of the composition maps between the compositions of
-    ``n`` over ``part_set`` and ``paths``, the family of semilength n+1; empty
-    when there is none."""
+    ``n`` over ``part_set`` and ``paths``, the family of semilength n+1 in U<D
+    order; empty when there is none.  ``comp_to_path`` reverses that order, so
+    the pass pairs them from the end; each image in place and mapped back
+    proves both maps bijective and each the other's inverse."""
     comps = enumerate_compositions(part_set, n)
     if len(comps) != len(paths):
         return f"n={n} compositions={len(comps)} paths={len(paths)}"
-    bad = next((c for c in comps if path_to_comp(q, comp_to_path(q, c)) != c), None)
-    if bad is not None:
-        return f"n={n} composition={bad.to_text()}"
-    bad = next((p for p in paths if comp_to_path(q, path_to_comp(q, p)) != p), None)
-    if bad is not None:
-        return f"n={n} path={bad.steps}"
+    for comp, path in zip(comps, reversed(paths)):
+        if comp_to_path(q, comp) != path:
+            return f"n={n} composition={comp.to_text()}"
+        if path_to_comp(q, path) != comp:
+            return f"n={n} path={path.steps}"
     return ""
 
 
@@ -343,17 +343,13 @@ def _bijection_fault(
 ) -> str:
     """The first fault of the quasi->restricted map from semilength ``n``, where
     ``domain`` and ``codomain`` are the quasi family at n and the restricted
-    family at n + t + 1: the report of :func:`check_bijection`, then the round
-    trips over both; empty when there is none."""
-    rep = check_bijection(q, n)
-    if not (rep.injective and rep.surjective and rep.card_domain == rep.card_codomain):
-        return f"n={n} domain={rep.card_domain} codomain={rep.card_codomain}"
-    bad = next((p for p in domain if phi_inv(q, phi(q, p)) != p), None)
-    if bad is not None:
-        return f"n={n} path={bad.steps}"
-    bad = next((p for p in codomain if phi(q, phi_inv(q, p)) != p), None)
-    if bad is not None:
-        return f"n={n} image={bad.steps}"
+    family at n + t + 1; empty when there is none.  ``phi`` keeps U<D order
+    (see :mod:`rdyck.bijection`), so the pass pairs them by position."""
+    if len(domain) != len(codomain):
+        return f"n={n} domain={len(domain)} codomain={len(codomain)}"
+    for path, image in zip(domain, codomain):
+        if phi(q, path) != image or phi_inv(q, image) != path:
+            return f"n={n} path={path.steps}"
     return ""
 
 

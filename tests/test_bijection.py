@@ -81,6 +81,9 @@ class TestPhiInv:
             q = RationalParam(r, s)
             t = valley_slope(q)
             for n in range(7):
+                # U<D order onto U<D order
+                images = [phi(q, p) for p in generate(q, PathClass.QUASI, n)]
+                assert images == list(generate(q, PathClass.RESTRICTED, n + t + 1))
                 for p in generate(q, PathClass.QUASI, n):
                     assert phi_inv(q, phi(q, p)) == p
                 for image in generate(q, PathClass.RESTRICTED, n + t + 1):

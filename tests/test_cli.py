@@ -8,10 +8,12 @@ import tracemalloc
 import pytest
 
 import rdyck
+import rdyck.bijection
 import rdyck.classes
 import rdyck.cli
 import rdyck.counting
 from rdyck import (
+    Composition,
     DyckPath,
     PathClass,
     RationalParam,
@@ -471,8 +473,9 @@ class TestVerify:
     def test_intersection_reads_the_checked_families(self, capsys, monkeypatch):
         # the generator and the oracle each lose the same restricted path at
         # their first call for n=3, the generation check's, so that check passes;
-        # the intersection check and the bounded composition check (at
-        # compositions of 2) read the same tuples, and see it
+        # the intersection check, the bounded composition check (at
+        # compositions of 2) and the bijection check (from quasi n=1, t = 1)
+        # read the same tuples, and see it
         lost = []
 
         def losing(real):
@@ -494,25 +497,34 @@ class TestVerify:
         assert code == 1
         failure = f"FAIL intersection: n=3 witnesses={lost}"
         composition_failure = "FAIL compositions bounded: n=2 compositions=1 paths=0"
+        bijection_failure = "FAIL bijection: n=1 domain=1 codomain=0"
         expected = VERIFY_3_4.replace("ok intersection", failure)
-        assert out == expected.replace("ok compositions bounded", composition_failure)
+        expected = expected.replace("ok compositions bounded", composition_failure)
+        assert out == expected.replace("ok bijection", bijection_failure)
 
     @pytest.mark.parametrize("nmax,extra", [(8, []), (1, [(PathClass.RESTRICTED, 3)])], ids=["8", "1"])
     def test_round_trips_read_the_loop_families(self, capsys, monkeypatch, nmax, extra):
         # only the generation loop calls generate; past it, only n = 0 when
-        # nmax <= t, whose images lie past nmax (t = 2 at 1/3)
-        real = rdyck.cli.generate
+        # nmax <= t, whose images lie past nmax (t = 2 at 1/3); the families
+        # are never built again through check_bijection
         calls = []
+        rebuilt = []
 
-        def recorded(q, path_class, n):
-            calls.append((path_class, n))
-            return real(q, path_class, n)
+        def recorded(real, log):
+            def call(*args):
+                log.append(args[1:])
+                return real(*args)
 
-        monkeypatch.setattr(rdyck.cli, "generate", recorded)
+            return call
+
+        monkeypatch.setattr(rdyck.cli, "generate", recorded(rdyck.cli.generate, calls))
+        monkeypatch.setattr(rdyck.bijection, "generate", recorded(rdyck.bijection.generate, rebuilt))
+        monkeypatch.setattr(rdyck.cli, "check_bijection", recorded(rdyck.cli.check_bijection, rebuilt))
         code, out, _ = invoke(capsys, "verify", "--q", "1/3", "--nmax", str(nmax))
         assert code == 0
         assert out.splitlines()[-1] == "ok bijection"
         assert calls == [(path_class, n) for n in range(nmax + 1) for path_class in PathClass] + extra
+        assert rebuilt == []
 
     def test_round_trip_fault_names_its_path(self, capsys, monkeypatch):
         # phi_inv goes wrong on one restricted path of semilength 7 at 3/4
@@ -528,6 +540,32 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
         assert code == 1
         assert out == VERIFY_3_4.replace("ok bijection", "FAIL bijection: n=5 path=UUDUDUDDUD")
+
+    @pytest.mark.parametrize(
+        "name,witness",
+        [("comp_to_path", "composition=1+4"), ("path_to_comp", "path=UDUUDUDDUDUD")],
+        ids=["comp_to_path", "path_to_comp"],
+    )
+    def test_composition_fault_names_its_witness(self, capsys, monkeypatch, name, witness):
+        # one map swaps the compositions 1+4 and 4+1 on its way in or out;
+        # both images stay rational members at 1/1, and the part 4 is outside
+        # the capped part set {1, 2}, so only the unbounded check meets them,
+        # and it stops at the first, 1+4, or its path UD UUDUDD UD UD
+        real = getattr(rdyck.cli, name)
+        swap = {(1, 4): Composition((4, 1)), (4, 1): Composition((1, 4))}
+
+        def faulty(q, value):
+            if name == "comp_to_path":
+                return real(q, swap.get(value.parts, value))
+            comp = real(q, value)
+            return swap.get(comp.parts, comp)
+
+        monkeypatch.setattr(rdyck.cli, name, faulty)
+        code, out, _ = invoke(capsys, "verify", "--q", "1/1", "--nmax", "8")
+        assert code == 1
+        failure = f"FAIL compositions unbounded: n=5 {witness}"
+        assert out == VERIFY_3_4.replace("ok compositions unbounded", failure)
+        assert out.count("FAIL") == 1
 
     @pytest.mark.parametrize("qtext", ["3/4", "1/2", "3/2"])
     def test_passes(self, capsys, qtext):

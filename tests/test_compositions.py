@@ -159,6 +159,9 @@ class TestMapping:
             for finite, cls in ((False, PathClass.RATIONAL), (True, PathClass.RESTRICTED)):
                 ps = PartSet(q, finite)
                 for n in range(9):
+                    # lexicographic order onto reversed U<D order
+                    images = [comp_to_path(q, c) for c in enumerate_compositions(ps, n)]
+                    assert images == list(reversed(generate(q, cls, n + 1)))
                     for comp in enumerate_compositions(ps, n):
                         path = comp_to_path(q, comp)
                         assert len(path.steps) == 2 * (n + 1)

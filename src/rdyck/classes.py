@@ -41,17 +41,14 @@ membership filter.  The search drops every path with an interior block
 (p >= 1 peaks, fewer than ceil(p*s/r) valleys), which no family accepts, so
 at n = 15 it yields 1,566 candidates at 3/4 and 6,777 at 3/2 rather than all
 2^14 = 16,384 height-two paths (about 1.61 and 1.84 per unit of n, not 2).
-``oracle_all_height2`` keeps the unpruned search as the exhaustive reference.
-The oracle scans each candidate once and sorts it into all three families;
-only the latest such split (one r, s and n) is kept, so asking for the three
-families at one n in turn filters the candidates once.
+One call scans each candidate once and sorts it into all three families, and
+returns them; nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from enum import Enum
-from functools import lru_cache
 from itertools import chain
 
 from rdyck.core import (
@@ -68,7 +65,6 @@ __all__ = [
     "generate",
     "iter_generate",
     "member",
-    "oracle_all_height2",
     "oracle_generate",
 ]
 
@@ -230,44 +226,12 @@ def _member_walk(q: RationalParam, path_class: PathClass, n: int) -> Iterator[tu
             stack.append((prefix + lead, m - size))
 
 
-def oracle_all_height2(n: int) -> tuple[DyckPath, ...]:
-    """Every Dyck path of semilength ``n`` and height <= 2, by exhaustive search.
-
-    Backtracks over all step choices, pruning only structurally impossible
-    prefixes (below the axis, above level two, or too high to return in the
-    remaining steps).  Intended for small n; there are 2^(n-1) results.  The
-    search tries U before D at every step, so the paths come out sorted
-    lexicographically with U < D and need no sort.
+def oracle_generate(q: RationalParam, n: int) -> dict[PathClass, tuple[DyckPath, ...]]:
+    """Brute-force counterpart of ``generate``: the searched paths of
+    semilength ``n`` that pass each family's rules, for all three families, in
+    U < D order.  One scan per candidate, and a ``DyckPath`` only for a text
+    some family accepts.
     """
-    if n < 0:
-        raise ValueError(f"semilength must be >= 0, got {n}")
-    found: list[str] = []
-
-    def extend(prefix: str, level: int, remaining: int) -> None:
-        if remaining == 0:
-            if level == 0:
-                found.append(prefix)
-            return
-        if level < 2 and level + 2 <= remaining:
-            extend(prefix + "U", level + 1, remaining - 1)
-        if level > 0:
-            extend(prefix + "D", level - 1, remaining - 1)
-
-    extend("", 0, 2 * n)
-    return tuple(DyckPath(s) for s in found)
-
-
-def oracle_generate(q: RationalParam, path_class: PathClass, n: int) -> tuple[DyckPath, ...]:
-    """Brute-force counterpart of ``generate``: the searched paths that pass the family's rules."""
-    return _oracle_split(q.r, q.s, n)[path_class]
-
-
-@lru_cache(maxsize=1)
-def _oracle_split(r: int, s: int, n: int) -> dict[PathClass, tuple[DyckPath, ...]]:
-    """The candidates of ``_oracle_steps`` sorted into the three families: one
-    scan per candidate, and a ``DyckPath`` only for a text some family accepts.
-    """
-    q = RationalParam(r, s)
     split: dict[PathClass, list[DyckPath]] = {path_class: [] for path_class in PathClass}
     for steps in _oracle_steps(q, n):
         blocks = _scan_blocks(steps)
@@ -282,18 +246,18 @@ def _oracle_split(r: int, s: int, n: int) -> dict[PathClass, tuple[DyckPath, ...
 
 
 def _oracle_steps(q: RationalParam, n: int) -> list[str]:
-    """The step texts of ``oracle_all_height2(n)`` less those with an interior
-    block short of its valleys, in the same U < D order.
+    """The step texts of the height-<=2 Dyck paths of semilength ``n``, less
+    those with an interior block short of its valleys, in U < D order.
 
-    The search of ``oracle_all_height2`` with one pruning rule.  A peak is a U
-    from level 1 and a valley a D from level 1 that is not the last step; a
-    peak that follows a valley starts a new block and so closes the one
-    before it, which is then interior.  No family accepts an interior block
-    (p, v) with p >= 1 and v < ceil(p*s/r) (only the quasi family's final
-    block is let off), so the search drops the U that would close such a
-    block, and with it every path below.  The filter still decides
-    membership, and shares nothing with the suffix recursion of
-    ``_member_walk``.
+    A backtracking search over the steps within levels [0, 2], U tried before
+    D at every step, with one pruning rule.  A peak is a U from level 1 and a
+    valley a D from level 1 that is not the last step; a peak that follows a
+    valley starts a new block and so closes the one before it, which is then
+    interior.  No family accepts an interior block (p, v) with p >= 1 and
+    v < ceil(p*s/r) (only the quasi family's final block is let off), so the
+    search drops the U that would close such a block, and with it every path
+    below.  The filter still decides membership, and shares nothing with the
+    suffix recursion of ``_member_walk``.
     """
     demand = [0] + [min_valleys(q, peaks) for peaks in range(1, n + 1)]
     found: list[str] = []

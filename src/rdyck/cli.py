@@ -27,12 +27,14 @@ from rdyck.compositions import (
 from rdyck.core import DyckPath, RationalParam, _parse_int, semilength, valley_slope
 from rdyck.counting import (
     _series_texts,
+    check_sum_identity,
     class_gf,
     compositions_gf,
     count_enumeration,
     count_recurrence,
     quasi_gf,
     rational_gf,
+    rational_gf_unreduced,
     restricted_gf,
     series_coeffs,
 )
@@ -233,9 +235,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             failures += 1
             print(f"FAIL {name}: {detail}")
 
-    # n outermost, so that the oracle filters each semilength's candidates once
-    # for all three families, and every check that needs a family at n reads
-    # the one tuple built for it, in U<D order.  A family is no longer checked
+    # n outermost: one oracle call sorts each semilength's candidates into all
+    # three families, and every check that needs a family at n reads the one
+    # tuple built for it, in U<D order.  A family is no longer checked
     # against the oracle after its first failure, but is still built for the
     # other checks; where the oracle disagrees, they take the oracle's members,
     # so that one fault of the generator fails one check.  One ordered pass
@@ -251,12 +253,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     bijection = ""
     waiting: dict[int, tuple[DyckPath, ...]] = {}
     for n in range(nmax + 1):
+        # n by keyword, which perfbench/spans.py reads as the semilength
+        oracle = oracle_generate(q, n=n)
         families = {}
         for path_class, detail in generation.items():
             families[path_class] = built = generate(q, path_class, n)
             if detail:
                 continue
-            checked = oracle_generate(q, path_class, n)
+            checked = oracle[path_class]
             if built != checked:
                 built_set, checked_set = set(built), set(checked)
                 missing = [p.steps for p in checked if p not in built_set]
@@ -289,11 +293,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         rec = count_recurrence(q, path_class, nmax)
         ser = series_coeffs(class_gf(q, path_class), nmax)
         agree = enum.values == rec.values == ser.values
-        report(
-            f"counts {path_class.value}",
-            agree,
-            f"enumeration={enum.as_line()} recurrence={rec.as_line()} series={ser.as_line()}",
-        )
+        routes = f"enumeration={enum.as_line()} recurrence={rec.as_line()} series={ser.as_line()}"
+        if path_class is PathClass.RATIONAL:
+            # two more routes, named in the detail only when they disagree
+            unreduced = series_coeffs(rational_gf_unreduced(q), nmax)
+            if unreduced != ser:
+                agree = False
+                routes += f" unreduced={unreduced.as_line()}"
+            if not check_sum_identity(q, max(nmax, 1)):
+                agree = False
+                routes += " sum_identity=false"
+        report(f"counts {path_class.value}", agree, routes)
 
     report("intersection", not intersection, intersection)
     for label, detail in compositions.items():
@@ -440,8 +450,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     """Parse ``argv``, execute, and return the exit code."""
     parser = _build_parser()
+    # argparse reads a value that starts with '-' and is not a plain negative
+    # number as an option, so an R/S text after --q is attached to it as
+    # --q=R/S would be, and reaches RationalParam the same way
+    attached: list[str] = []
+    for text in sys.argv[1:] if argv is None else argv:
+        if attached and attached[-1] == "--q" and text.startswith("-") and "/" in text:
+            attached[-1] = f"--q={text}"
+        else:
+            attached.append(text)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(attached)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

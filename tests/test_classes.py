@@ -17,10 +17,11 @@ from rdyck import (
     iter_generate,
     member,
     min_valleys,
-    oracle_all_height2,
     oracle_generate,
 )
-from rdyck.classes import _member_walk
+from rdyck.classes import _member_walk, _oracle_steps
+
+from exhaustive import oracle_all_height2
 
 Q_SAMPLE = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 5)]
 
@@ -172,7 +173,7 @@ class TestGenerate:
 
     def test_quasi_semilength_two(self):
         got = generate(RationalParam(1, 1), PathClass.QUASI, 2)
-        assert got == oracle_generate(RationalParam(1, 1), PathClass.QUASI, 2)
+        assert got == oracle_generate(RationalParam(1, 1), 2)[PathClass.QUASI]
         assert {p.steps for p in got} == {"UDUD", "UUDD"}
 
     def test_restricted_semilength_two(self):
@@ -262,8 +263,10 @@ def reference_family(r, s, tag, n):
 
 
 @lru_cache(maxsize=None)
-def oracle_texts(r, s, path_class, n):
-    return tuple(p.steps for p in oracle_generate(RationalParam(r, s), path_class, n))
+def oracle_texts(r, s, n):
+    """The oracle's three families at one semilength, as step texts."""
+    split = oracle_generate(RationalParam(r, s), n)
+    return {path_class: tuple(p.steps for p in paths) for path_class, paths in split.items()}
 
 
 class TestStreaming:
@@ -305,7 +308,7 @@ class TestStreaming:
                 for cls in PathClass:
                     blocks = list(_member_walk(q, cls, n))
                     texts = tuple(text for joined, _ in blocks for text in joined.split("\n"))
-                    assert texts == oracle_texts(r, s, cls, n), (q, cls, n)
+                    assert texts == oracle_texts(r, s, n)[cls], (q, cls, n)
                     counts = [count for _, count in blocks]
                     assert all(joined.count("\n") == count - 1 for joined, count in blocks)
                     assert 1 <= min(counts) and max(counts) <= size, (q, cls, n)
@@ -363,9 +366,10 @@ class TestOracle:
     def test_oracle_equals_constructive(self):
         for r, s in Q_SAMPLE:
             q = RationalParam(r, s)
-            for cls in PathClass:
-                for n in range(9):
-                    assert generate(q, cls, n) == oracle_generate(q, cls, n)
+            for n in range(9):
+                split = oracle_generate(q, n)
+                for cls in PathClass:
+                    assert generate(q, cls, n) == split[cls]
 
     def test_pruned_search_drops_no_member(self):
         # the exhaustive paths through member, against the pruned search: the
@@ -376,13 +380,18 @@ class TestOracle:
                 if math.gcd(r, s) != 1:
                     continue
                 q = RationalParam(r, s)
+                split = oracle_generate(q, n)
                 for cls in PathClass:
                     expected = tuple(p for p in paths if member(q, cls, p))
-                    assert oracle_generate(q, cls, n) == expected, (q, cls, n)
+                    assert split[cls] == expected, (q, cls, n)
+        # the candidate counts that the README and the classes docstring quote
+        assert len(_oracle_steps(RationalParam(3, 4), 15)) == 1_566
+        assert len(_oracle_steps(RationalParam(3, 2), 15)) == 6_777
 
     @pytest.mark.parametrize("r,s", [(3, 4), (1, 1)], ids=["3/4", "1/1"])
     def test_oracle_equals_constructive_past_twelve(self, r, s):
         q = RationalParam(r, s)
         for n in range(13, 19):
+            split = oracle_generate(q, n)
             for cls in PathClass:
-                assert generate(q, cls, n) == oracle_generate(q, cls, n), (cls, n)
+                assert generate(q, cls, n) == split[cls], (cls, n)

@@ -65,6 +65,10 @@ class TestMember:
         code, _, err = invoke(capsys, "member", "--class", "r", "--q", "2/4", "UD")
         assert code == 1
         assert err.startswith("error:")
+        # a q that starts with '-' is read the same whether or not '=' attaches it
+        for argv in (["--q", "-1/2"], ["--q=-1/2"]):
+            code, out, err = invoke(capsys, "count", "--class", "r", *argv, "--nmax", "3")
+            assert (code, out, err) == (1, "", "error: r and s must be positive, got -1/2\n"), argv
 
 
 class TestEnumerate:
@@ -450,9 +454,9 @@ class TestVerify:
         real_oracle = rdyck.cli.oracle_generate
         oracle_calls = []
 
-        def recorded_oracle(q, path_class, n):
-            oracle_calls.append((path_class, n))
-            return real_oracle(q, path_class, n)
+        def recorded_oracle(q, n):
+            oracle_calls.append(n)
+            return real_oracle(q, n)
 
         monkeypatch.setattr(rdyck.cli, "generate", lossy)
         monkeypatch.setattr(rdyck.cli, "oracle_generate", recorded_oracle)
@@ -461,38 +465,34 @@ class TestVerify:
         failure = f"FAIL generation restricted: n=3 missing={dropped} extra=[]"
         assert out == VERIFY_3_4.replace("ok generation restricted", failure)
         assert out.count("FAIL") == 1
-        # semilength by semilength, and the failed family is not checked again
-        expected_calls = [
-            (path_class, n)
-            for n in range(9)
-            for path_class in PathClass
-            if not (path_class is PathClass.RESTRICTED and n > 3)
-        ]
-        assert oracle_calls == expected_calls
+        # one oracle call per semilength, in order, for all three families
+        assert oracle_calls == list(range(9))
 
     def test_intersection_reads_the_checked_families(self, capsys, monkeypatch):
         # the generator and the oracle each lose the same restricted path at
-        # their first call for n=3, the generation check's, so that check passes;
+        # their one call for n=3, the generation check's, so that check passes;
         # the intersection check, the bounded composition check (at
         # compositions of 2) and the bijection check (from quasi n=1, t = 1)
         # read the same tuples, and see it
+        real_generate, real_oracle = rdyck.cli.generate, rdyck.cli.oracle_generate
         lost = []
 
-        def losing(real):
-            calls = []
+        def lose(paths):
+            lost[:] = [paths[0].steps]
+            return paths[1:]
 
-            def call(q, path_class, n):
-                paths = real(q, path_class, n)
-                if path_class is PathClass.RESTRICTED and n == 3 and not calls:
-                    calls.append(n)
-                    lost[:] = [paths[0].steps]
-                    return paths[1:]
-                return paths
+        def losing_generate(q, path_class, n):
+            paths = real_generate(q, path_class, n)
+            return lose(paths) if path_class is PathClass.RESTRICTED and n == 3 else paths
 
-            return call
+        def losing_oracle(q, n):
+            split = real_oracle(q, n)
+            if n == 3:
+                split[PathClass.RESTRICTED] = lose(split[PathClass.RESTRICTED])
+            return split
 
-        monkeypatch.setattr(rdyck.cli, "generate", losing(rdyck.cli.generate))
-        monkeypatch.setattr(rdyck.cli, "oracle_generate", losing(rdyck.cli.oracle_generate))
+        monkeypatch.setattr(rdyck.cli, "generate", losing_generate)
+        monkeypatch.setattr(rdyck.cli, "oracle_generate", losing_oracle)
         code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
         assert code == 1
         failure = f"FAIL intersection: n=3 witnesses={lost}"
@@ -525,6 +525,26 @@ class TestVerify:
         assert out.splitlines()[-1] == "ok bijection"
         assert calls == [(path_class, n) for n in range(nmax + 1) for path_class in PathClass] + extra
         assert rebuilt == []
+
+    def test_rational_counts_name_the_route_that_disagrees(self, capsys, monkeypatch):
+        # the unreduced closed form swapped for the compositions one, and the
+        # sum identity made to fail: both routes fold into the counts rational
+        # line, which names each of them, and no other line changes
+        orders = []
+
+        def failing_identity(q, order):
+            orders.append(order)
+            return False
+
+        monkeypatch.setattr(rdyck.cli, "rational_gf_unreduced", rdyck.counting.compositions_gf)
+        monkeypatch.setattr(rdyck.cli, "check_sum_identity", failing_identity)
+        code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
+        assert code == 1
+        rows = "enumeration={0} recurrence={0} series={0}".format("1,1,1,1,2,3,5,8,13")
+        failure = f"FAIL counts rational: {rows} unreduced=1,1,1,2,3,5,8,13,21 sum_identity=false"
+        assert out == VERIFY_3_4.replace("ok counts rational", failure)
+        assert out.count("FAIL") == 1
+        assert orders == [8]
 
     def test_round_trip_fault_names_its_path(self, capsys, monkeypatch):
         # phi_inv goes wrong on one restricted path of semilength 7 at 3/4

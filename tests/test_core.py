@@ -11,11 +11,12 @@ from rdyck import (
     defactorize,
     factorize,
     min_valleys,
-    oracle_all_height2,
     part_size,
     semilength,
     valley_slope,
 )
+
+from exhaustive import oracle_all_height2
 
 
 class TestParseRender:

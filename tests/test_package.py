@@ -51,7 +51,14 @@ class TestPublicNames:
         for name in rdyck.__all__:
             assert getattr(rdyck, name) is not None, name
 
-    @pytest.mark.parametrize("name", ["Factorization", "height", "path_sort_key"])
+    @pytest.mark.parametrize("name", ["Factorization", "height", "path_sort_key", "oracle_all_height2"])
     def test_removed_names_are_gone(self, name):
         assert name not in rdyck.__all__
         assert not hasattr(rdyck, name)
+
+
+def test_no_module_keeps_a_cache():
+    # nothing is kept between calls: no function of the library is an lru_cache
+    for module in (*SUBMODULES, rdyck.cli):
+        for name, value in vars(module).items():
+            assert not hasattr(value, "cache_info"), f"{module.__name__}.{name}"

@@ -19,12 +19,13 @@ from rdyck import (
     check_bijection,
     collision_pair,
     generate,
-    oracle_all_height2,
     path_to_comp,
     phi,
     phi_inv,
     valley_slope,
 )
+
+from exhaustive import oracle_all_height2
 
 NMAX = 8
 # every coprime r <= 6, s <= 8, ordered by r + s and then r

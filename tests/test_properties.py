@@ -15,7 +15,6 @@ from rdyck import (
     factorize,
     generate,
     member,
-    oracle_all_height2,
     oracle_generate,
     path_to_comp,
     phi,
@@ -25,6 +24,8 @@ from rdyck import (
 )
 from rdyck.classes import _member_walk
 from rdyck.core import _low_paths
+
+from exhaustive import oracle_all_height2
 
 
 def height(path):
@@ -81,9 +82,11 @@ def test_defactorize_inverts_factorize(path):
 
 
 @settings(max_examples=40, deadline=None)
-@given(rationals(), st.sampled_from(list(PathClass)), st.integers(min_value=0, max_value=6))
-def test_generation_matches_oracle(q, path_class, n):
-    assert generate(q, path_class, n) == oracle_generate(q, path_class, n)
+@given(rationals(), st.integers(min_value=0, max_value=6))
+def test_generation_matches_oracle(q, n):
+    oracle = oracle_generate(q, n)
+    for path_class in PathClass:
+        assert generate(q, path_class, n) == oracle[path_class], path_class
 
 
 @settings(max_examples=40, deadline=None)

@@ -36,13 +36,16 @@ size, and no ``DyckPath`` is built per member.  Every member is still
 validated.
 
 ``oracle_generate`` gives the brute-force route used to differential-test
-it: an exhaustive search over U/D steps with one pruning rule, then the
-membership filter.  The search drops every path with an interior block
-(p >= 1 peaks, fewer than ceil(p*s/r) valleys), which no family accepts, so
-at n = 15 it yields 1,566 candidates at 3/4 and 6,777 at 3/2 rather than all
-2^14 = 16,384 height-two paths (about 1.61 and 1.84 per unit of n, not 2).
-One call scans each candidate once and sorts it into all three families, and
-returns them; nothing is kept between calls.
+it: an exhaustive search over U/D steps with one pruning rule, which sorts
+each path into the families as it reaches it.  The search drops every path
+with an interior block (p >= 1 peaks, fewer than ceil(p*s/r) valleys), which
+no family accepts, so at n = 15 it yields 1,566 candidates at 3/4 and 6,777
+at 3/2 rather than all 2^14 = 16,384 height-two paths (about 1.61 and 1.84
+per unit of n, not 2).  It carries each path's open block and largest peak
+run as it goes, so a candidate's families follow from its final block in a
+few integer tests: a second statement of the family rules, which shares no
+code with ``member``.  One call returns the step texts of all three
+families; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from rdyck.core import (
     RationalParam,
     _low_paths,
     _scan_blocks,
-    min_valleys,
     part_size,
 )
 
@@ -226,28 +228,44 @@ def _member_walk(q: RationalParam, path_class: PathClass, n: int) -> Iterator[tu
             stack.append((prefix + lead, m - size))
 
 
-def oracle_generate(q: RationalParam, n: int) -> dict[PathClass, tuple[DyckPath, ...]]:
-    """Brute-force counterpart of ``generate``: the searched paths of
-    semilength ``n`` that pass each family's rules, for all three families, in
-    U < D order.  One scan per candidate, and a ``DyckPath`` only for a text
-    some family accepts.
+def oracle_generate(q: RationalParam, n: int) -> dict[PathClass, tuple[str, ...]]:
+    """Brute-force counterpart of ``generate``: the step texts of semilength
+    ``n`` in each of the three families, in U < D order.
+
+    The search of ``_oracle_steps`` leaves each candidate with its final
+    block (p, v) and its largest peak run, and the family rules are decided
+    from those alone: every interior block already meets its demand, so a
+    candidate is rational when v*r >= p*s, restricted when it is also within
+    the peak cap r, and quasi when it is within the cap and its final block
+    meets the demand, has p = r, or has v = 0.  Nothing here reads blocks
+    off a text, so the oracle shares no code with ``member``, and no
+    ``DyckPath`` is built.
     """
-    split: dict[PathClass, list[DyckPath]] = {path_class: [] for path_class in PathClass}
-    for steps in _oracle_steps(q, n):
-        blocks = _scan_blocks(steps)
-        if blocks is None:
-            continue
-        accepted = [members for path_class, members in split.items() if _accepts(q, path_class, blocks)]
-        if accepted:
-            path = DyckPath(steps)
-            for members in accepted:
-                members.append(path)
-    return {path_class: tuple(members) for path_class, members in split.items()}
+    r, s = q.r, q.s
+    rational: list[str] = []
+    restricted: list[str] = []
+    quasi: list[str] = []
+    for steps, peaks, valleys, top in _oracle_steps(q, n):
+        capped = top <= r and peaks <= r
+        if valleys * r >= peaks * s:
+            rational.append(steps)
+            if capped:
+                restricted.append(steps)
+                quasi.append(steps)
+        elif capped and (peaks == r or not valleys):
+            quasi.append(steps)
+    return {
+        PathClass.RATIONAL: tuple(rational),
+        PathClass.RESTRICTED: tuple(restricted),
+        PathClass.QUASI: tuple(quasi),
+    }
 
 
-def _oracle_steps(q: RationalParam, n: int) -> list[str]:
-    """The step texts of the height-<=2 Dyck paths of semilength ``n``, less
-    those with an interior block short of its valleys, in U < D order.
+def _oracle_steps(q: RationalParam, n: int) -> list[tuple[str, int, int, int]]:
+    """The height-<=2 Dyck paths of semilength ``n``, less those with an
+    interior block short of its valleys, in U < D order: each as its step
+    text, the peaks and valleys of its final block, and its largest closed
+    peak run (0 when there is none).
 
     A backtracking search over the steps within levels [0, 2], U tried before
     D at every step, with one pruning rule.  A peak is a U from level 1 and a
@@ -256,27 +274,28 @@ def _oracle_steps(q: RationalParam, n: int) -> list[str]:
     interior.  No family accepts an interior block (p, v) with p >= 1 and
     v < ceil(p*s/r) (only the quasi family's final block is let off), so the
     search drops the U that would close such a block, and with it every path
-    below.  The filter still decides membership, and shares nothing with the
-    suffix recursion of ``_member_walk``.
+    below.  The state carried per step is (level, peaks, valleys) of the open
+    block and the largest peak run closed so far, which is all that
+    ``oracle_generate`` needs to sort a path into the families.  The search
+    shares nothing with the suffix recursion of ``_member_walk``.
     """
-    demand = [0] + [min_valleys(q, peaks) for peaks in range(1, n + 1)]
-    found: list[str] = []
+    r, s = q.r, q.s
+    found: list[tuple[str, int, int, int]] = []
 
-    def extend(prefix: str, level: int, remaining: int, peaks: int, valleys: int) -> None:
+    def extend(prefix: str, level: int, remaining: int, peaks: int, valleys: int, top: int) -> None:
         if remaining == 0:
-            if level == 0:
-                found.append(prefix)
+            found.append((prefix, peaks, valleys, top))
             return
         if level < 2 and level + 2 <= remaining:
             if level == 0:
-                extend(prefix + "U", 1, remaining - 1, peaks, valleys)
+                extend(prefix + "U", 1, remaining - 1, peaks, valleys, top)
             elif not valleys:
-                extend(prefix + "U", 2, remaining - 1, peaks + 1, 0)
-            elif valleys >= demand[peaks]:
-                extend(prefix + "U", 2, remaining - 1, 1, 0)
+                extend(prefix + "U", 2, remaining - 1, peaks + 1, 0, top)
+            elif valleys * r >= peaks * s:
+                extend(prefix + "U", 2, remaining - 1, 1, 0, max(top, peaks))
         if level > 0:
             valley = level == 1 and remaining > 1
-            extend(prefix + "D", level - 1, remaining - 1, peaks, valleys + valley)
+            extend(prefix + "D", level - 1, remaining - 1, peaks, valleys + valley, top)
 
-    extend("", 0, 2 * n, 0, 0)
+    extend("", 0, 2 * n, 0, 0, 0)
     return found

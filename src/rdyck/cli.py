@@ -236,14 +236,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"FAIL {name}: {detail}")
 
     # n outermost: one oracle call sorts each semilength's candidates into all
-    # three families, and every check that needs a family at n reads the one
-    # tuple built for it, in U<D order.  A family is no longer checked
-    # against the oracle after its first failure, but is still built for the
-    # other checks; where the oracle disagrees, they take the oracle's members,
-    # so that one fault of the generator fails one check.  One ordered pass
-    # proves each map: compositions of n - 1 onto the family of semilength n
-    # and, where s = t*r + 1, quasi at n - t - 1 onto restricted at n (each
-    # quasi tuple waits t + 1 semilengths for it).
+    # three families, as step texts, and every check that needs a family at n
+    # reads the one tuple built for it, in U<D order: generation and the
+    # intersection compare texts, and the maps take the paths.  A family is
+    # no longer checked against the oracle after its first failure, but is
+    # still built for the other checks; where the oracle disagrees, they take
+    # the oracle's members, so that one fault of the generator fails one
+    # check.  One ordered pass proves each map: compositions of n - 1 onto the
+    # family of semilength n and, where s = t*r + 1, quasi at n - t - 1 onto
+    # restricted at n (each quasi tuple waits t + 1 semilengths for it).
     generation = dict.fromkeys(PathClass, "")
     intersection = ""
     part_sets = {"unbounded": (False, PathClass.RATIONAL), "bounded": (True, PathClass.RESTRICTED)}
@@ -256,23 +257,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # n by keyword, which perfbench/spans.py reads as the semilength
         oracle = oracle_generate(q, n=n)
         families = {}
+        texts = {}
         for path_class, detail in generation.items():
             families[path_class] = built = generate(q, path_class, n)
+            texts[path_class] = steps = tuple(path.steps for path in built)
             if detail:
                 continue
             checked = oracle[path_class]
-            if built != checked:
-                built_set, checked_set = set(built), set(checked)
-                missing = [p.steps for p in checked if p not in built_set]
-                extra = [p.steps for p in built if p not in checked_set]
+            if steps != checked:
+                built_set, checked_set = set(steps), set(checked)
+                missing = [text for text in checked if text not in built_set]
+                extra = [text for text in steps if text not in checked_set]
                 generation[path_class] = f"n={n} missing={missing} extra={extra}"
-                families[path_class] = checked
+                families[path_class] = tuple(map(DyckPath, checked))
+                texts[path_class] = checked
         if not intersection:
-            meet = set(families[PathClass.RATIONAL]) & set(families[PathClass.QUASI])
-            expected = set(families[PathClass.RESTRICTED])
+            meet = set(texts[PathClass.RATIONAL]).intersection(texts[PathClass.QUASI])
+            expected = set(texts[PathClass.RESTRICTED])
             if meet != expected:
-                witnesses = sorted(p.steps for p in meet ^ expected)
-                intersection = f"n={n} witnesses={witnesses}"
+                intersection = f"n={n} witnesses={sorted(meet ^ expected)}"
         for label, (finite, path_class) in part_sets.items():
             if n and not compositions[label]:
                 compositions[label] = _composition_fault(q, PartSet(q, finite), n - 1, families[path_class])

@@ -116,9 +116,9 @@ def comp_to_path(q: RationalParam, comp: Composition) -> DyckPath:
         if part == 1:
             pieces.append("UD")
         else:
+            # _peaks_for has checked that part = peaks + ceil(peaks*s/r)
             peaks = _peaks_for(q, part)
-            valleys = min_valleys(q, peaks)
-            pieces.append("U" + "UD" * peaks + "DU" * (valleys - 1) + "D")
+            pieces.append("U" + "UD" * peaks + "DU" * (part - peaks - 1) + "D")
     pieces.append("UD")
     return DyckPath("".join(pieces))
 
@@ -140,8 +140,9 @@ def path_to_comp(q: RationalParam, path: DyckPath) -> Composition:
     parts = []
     for peaks, valleys in blocks:
         if peaks:
-            parts.append(part_size(q, peaks))
-            valleys -= min_valleys(q, peaks)
+            demand = min_valleys(q, peaks)
+            parts.append(peaks + demand)
+            valleys -= demand
         parts.extend([1] * valleys)
     return Composition(tuple(parts))
 

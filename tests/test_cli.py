@@ -468,6 +468,24 @@ class TestVerify:
         # one oracle call per semilength, in order, for all three families
         assert oracle_calls == list(range(9))
 
+    def test_generation_extra_is_reported(self, capsys, monkeypatch):
+        # the generator yields one text the oracle lacks at quasi n=4: the
+        # path climbs to level three, so no family has it; it is named as
+        # extra, and every later check, which reads the oracle's members in
+        # its place, still passes
+        real = rdyck.cli.generate
+
+        def padded(q, path_class, n):
+            paths = real(q, path_class, n)
+            return paths + (DyckPath("UUUDUDDD"),) if path_class is PathClass.QUASI and n == 4 else paths
+
+        monkeypatch.setattr(rdyck.cli, "generate", padded)
+        code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
+        assert code == 1
+        failure = "FAIL generation quasi: n=4 missing=[] extra=['UUUDUDDD']"
+        assert out == VERIFY_3_4.replace("ok generation quasi", failure)
+        assert out.count("FAIL") == 1
+
     def test_intersection_reads_the_checked_families(self, capsys, monkeypatch):
         # the generator and the oracle each lose the same restricted path at
         # their one call for n=3, the generation check's, so that check passes;
@@ -477,18 +495,19 @@ class TestVerify:
         real_generate, real_oracle = rdyck.cli.generate, rdyck.cli.oracle_generate
         lost = []
 
-        def lose(paths):
-            lost[:] = [paths[0].steps]
-            return paths[1:]
-
         def losing_generate(q, path_class, n):
             paths = real_generate(q, path_class, n)
-            return lose(paths) if path_class is PathClass.RESTRICTED and n == 3 else paths
+            if path_class is PathClass.RESTRICTED and n == 3:
+                assert [paths[0].steps] == lost
+                return paths[1:]
+            return paths
 
         def losing_oracle(q, n):
+            # the oracle gives step texts, and runs first at each n
             split = real_oracle(q, n)
             if n == 3:
-                split[PathClass.RESTRICTED] = lose(split[PathClass.RESTRICTED])
+                lost[:] = split[PathClass.RESTRICTED][:1]
+                split[PathClass.RESTRICTED] = split[PathClass.RESTRICTED][1:]
             return split
 
         monkeypatch.setattr(rdyck.cli, "generate", losing_generate)

@@ -86,7 +86,24 @@ def test_defactorize_inverts_factorize(path):
 def test_generation_matches_oracle(q, n):
     oracle = oracle_generate(q, n)
     for path_class in PathClass:
-        assert generate(q, path_class, n) == oracle[path_class], path_class
+        assert tuple(p.steps for p in generate(q, path_class, n)) == oracle[path_class], path_class
+
+
+coprime_pairs = st.tuples(st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=20)).filter(
+    lambda pair: math.gcd(*pair) == 1
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coprime_pairs, st.integers(min_value=0, max_value=10))
+def test_oracle_classifies_as_member(pair, n):
+    # the families the oracle sorts its search into, against member over
+    # every height-two path
+    q = RationalParam(*pair)
+    oracle = oracle_generate(q, n)
+    paths = oracle_all_height2(n)
+    for path_class in PathClass:
+        assert oracle[path_class] == tuple(p.steps for p in paths if member(q, path_class, p)), path_class
 
 
 @settings(max_examples=40, deadline=None)

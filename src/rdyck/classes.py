@@ -41,11 +41,8 @@ each path into the families as it reaches it.  The search drops every path
 with an interior block (p >= 1 peaks, fewer than ceil(p*s/r) valleys), which
 no family accepts, so at n = 15 it yields 1,566 candidates at 3/4 and 6,777
 at 3/2 rather than all 2^14 = 16,384 height-two paths (about 1.61 and 1.84
-per unit of n, not 2).  It carries each path's open block and largest peak
-run as it goes, so a candidate's families follow from its final block in a
-few integer tests: a second statement of the family rules, which shares no
-code with ``member``.  One call returns the step texts of all three
-families; nothing is kept between calls.
+per unit of n, not 2).  It returns step texts, shares no code with
+``member``, and keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -230,16 +227,12 @@ def _member_walk(q: RationalParam, path_class: PathClass, n: int) -> Iterator[tu
 
 def oracle_generate(q: RationalParam, n: int) -> dict[PathClass, tuple[str, ...]]:
     """Brute-force counterpart of ``generate``: the step texts of semilength
-    ``n`` in each of the three families, in U < D order.
+    ``n`` in each family, in U < D order, with no ``DyckPath`` built.
 
-    The search of ``_oracle_steps`` leaves each candidate with its final
-    block (p, v) and its largest peak run, and the family rules are decided
-    from those alone: every interior block already meets its demand, so a
-    candidate is rational when v*r >= p*s, restricted when it is also within
-    the peak cap r, and quasi when it is within the cap and its final block
-    meets the demand, has p = r, or has v = 0.  Nothing here reads blocks
-    off a text, so the oracle shares no code with ``member``, and no
-    ``DyckPath`` is built.
+    The search has kept every interior block at its demand, so a path's
+    final block (p, v) and largest peak run decide: rational when
+    v*r >= p*s, restricted when also within the cap r, and quasi when within
+    the cap and the final block meets its demand, has p = r or has v = 0.
     """
     r, s = q.r, q.s
     rational: list[str] = []
@@ -274,10 +267,9 @@ def _oracle_steps(q: RationalParam, n: int) -> list[tuple[str, int, int, int]]:
     interior.  No family accepts an interior block (p, v) with p >= 1 and
     v < ceil(p*s/r) (only the quasi family's final block is let off), so the
     search drops the U that would close such a block, and with it every path
-    below.  The state carried per step is (level, peaks, valleys) of the open
-    block and the largest peak run closed so far, which is all that
-    ``oracle_generate`` needs to sort a path into the families.  The search
-    shares nothing with the suffix recursion of ``_member_walk``.
+    below.  Each step carries the level, the open block's peaks and valleys,
+    and the largest closed peak run.  The search shares nothing with the
+    suffix recursion of ``_member_walk``.
     """
     r, s = q.r, q.s
     found: list[tuple[str, int, int, int]] = []

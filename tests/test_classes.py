@@ -388,6 +388,19 @@ class TestOracle:
         assert len(_oracle_steps(RationalParam(3, 4), 15)) == 1_566
         assert len(_oracle_steps(RationalParam(3, 2), 15)) == 6_777
 
+    def test_oracle_shares_nothing_with_member(self, monkeypatch):
+        # the oracle sorts paths into the families in its own search: it reads
+        # no blocks off a text, runs none of member's rules and builds no path
+        q = RationalParam(3, 4)
+        expected = oracle_generate(q, 9)
+
+        def forbidden(*args):
+            raise AssertionError("the oracle reached member's code or DyckPath")
+
+        for name in ("_scan_blocks", "_accepts", "DyckPath"):
+            monkeypatch.setattr(rdyck.classes, name, forbidden)
+        assert oracle_generate(q, 9) == expected
+
     @pytest.mark.parametrize("r,s", [(3, 4), (1, 1)], ids=["3/4", "1/1"])
     def test_oracle_equals_constructive_past_twelve(self, r, s):
         q = RationalParam(r, s)

@@ -276,6 +276,8 @@ def _oracle_steps(q: RationalParam, n: int) -> list[tuple[str, int, int, int]]:
 
     def extend(prefix: str, level: int, remaining: int, peaks: int, valleys: int, top: int) -> None:
         if remaining == 0:
+            # a U is taken only with room to come back down, so the level
+            # never exceeds the steps left, and every leaf is at level 0
             found.append((prefix, peaks, valleys, top))
             return
         if level < 2 and level + 2 <= remaining:

@@ -17,23 +17,21 @@ none.
 ``member`` reads the blocks off the path in one scan, which also rejects
 paths of height above two, and then applies the family's rules to them.
 
-``iter_generate`` builds each family constructively by suffix recursion and
-yields its members one at a time, lexicographically with U before D;
-``generate`` collects them into a tuple.  The recursion itself fixes that
-order (the arch, then lead-ins with more peaks before fewer, then UD + tail),
-so a depth-first walk yields the members sorted: nothing is sorted, kept in a
-set or cached.  The walk (``_member_walk``) yields whole subtrees: below a
-node with m semilength left lie the members of semilength m after the
-node's prefix, so the members of each small m are built once per call, into
-a table of at most ``_BLOCK_SIZE`` texts per m, and a node that reaches one
-yields them as one block of text joined by newlines.  Memory stays at one
-stack of prefixes, the table and one block.
+``generate`` builds each family constructively by suffix recursion,
+lexicographically with U before D.  The recursion itself fixes that order
+(the arch, then lead-ins with more peaks before fewer, then UD + tail), so a
+depth-first walk yields the members sorted: nothing is sorted, kept in a set
+or cached.  The walk (``_member_walk``) yields whole subtrees: below a node
+with m semilength left lie the members of semilength m after the node's
+prefix, so the members of each small m are built once per call, into a table
+of at most ``_BLOCK_SIZE`` texts per m, and a node that reaches one yields
+them as one block of text joined by newlines.
 
-``enumerate`` and ``count_enumeration`` need only the step text, so they take
-the blocks themselves (``_member_blocks``): each block is checked as a whole
-by ``core._low_paths``, in a fixed number of string operations whatever its
-size, and no ``DyckPath`` is built per member.  Every member is still
-validated.
+The walk has one caller, ``_member_blocks``, which checks each block as a
+whole by ``core._low_paths`` in a fixed number of string operations, so every
+member is validated.  ``enumerate`` and ``count_enumeration`` stream the
+blocks, ``verify`` takes one semilength's texts (``_member_texts``), and only
+``generate`` builds a ``DyckPath`` per member.
 
 ``oracle_generate`` gives the brute-force route used to differential-test
 it: an exhaustive search over U/D steps with one pruning rule, which sorts
@@ -62,7 +60,6 @@ from rdyck.core import (
 __all__ = [
     "PathClass",
     "generate",
-    "iter_generate",
     "member",
     "oracle_generate",
 ]
@@ -110,16 +107,6 @@ def _accepts(q: RationalParam, path_class: PathClass, blocks: tuple[tuple[int, i
 def generate(q: RationalParam, path_class: PathClass, n: int) -> tuple[DyckPath, ...]:
     """All members of semilength ``n``, sorted lexicographically with U < D.
 
-    The members of :func:`iter_generate`, collected into a tuple.  The suffix
-    recursion yields them already in this order, so nothing is sorted, and
-    nothing is cached between calls.
-    """
-    return tuple(iter_generate(q, path_class, n))
-
-
-def iter_generate(q: RationalParam, path_class: PathClass, n: int) -> Iterator[DyckPath]:
-    """The members of semilength ``n`` one at a time, lexicographically with U < D.
-
     Built by suffix recursion: a member is UD followed by any member of
     semilength n-1, or a lead-in U(UD)^p(DU)^(ceil(ps/r)-1)D followed by a
     nonempty member (the lead-in's closing D and the suffix's opening U supply
@@ -128,17 +115,18 @@ def iter_generate(q: RationalParam, path_class: PathClass, n: int) -> Iterator[D
     2 <= n <= r+s, the single path U w D where w is the semilength-(n-1)
     prefix of (UD)^r (DU)^(s-1).
 
-    The paths are built from the blocks of ``_member_walk`` as they are asked
-    for, so memory stays at one stack of prefixes, one table of short members
-    and one block.  Callers that need only the step text (``enumerate``,
-    ``count_enumeration``) take the blocks themselves (``_member_blocks``),
-    and no ``DyckPath`` per member.  A negative ``n`` raises ``ValueError``
-    at the call, not at the first ``next``.
+    The recursion yields them in this order, so nothing is sorted or cached;
+    callers that need only the step text read ``_member_texts``.
     """
+    return tuple(map(DyckPath, _member_texts(q, path_class, n)))
+
+
+def _member_texts(q: RationalParam, path_class: PathClass, n: int) -> tuple[str, ...]:
+    """The step texts of ``generate``'s members, each checked by
+    ``_member_blocks``; a negative ``n`` raises ``generate``'s ``ValueError``."""
     if n < 0:
         raise ValueError(f"semilength must be >= 0, got {n}")
-    blocks = _member_walk(q, path_class, n)
-    return map(DyckPath, chain.from_iterable(joined.split("\n") for joined, _ in blocks))
+    return tuple(chain.from_iterable(joined.split("\n") for joined, _ in _member_blocks(q, path_class, n)))
 
 
 def _member_blocks(q: RationalParam, path_class: PathClass, n: int) -> Iterator[tuple[str, int]]:
@@ -233,7 +221,10 @@ def oracle_generate(q: RationalParam, n: int) -> dict[PathClass, tuple[str, ...]
     final block (p, v) and largest peak run decide: rational when
     v*r >= p*s, restricted when also within the cap r, and quasi when within
     the cap and the final block meets its demand, has p = r or has v = 0.
+    A negative ``n`` raises ``generate``'s ``ValueError``.
     """
+    if n < 0:
+        raise ValueError(f"semilength must be >= 0, got {n}")
     r, s = q.r, q.s
     rational: list[str] = []
     restricted: list[str] = []

@@ -2,7 +2,8 @@
 
 Results go to stdout, diagnostics to stderr with an ``error:`` prefix.
 Exit codes: 0 success, 1 domain error (bad path, non-member input to a
-mapping), 2 usage error (including the enumeration safety cap, default 20,
+mapping) or stdout closed before the output ended (``| head -1``; no
+traceback), 2 usage error (including the enumeration safety cap, default 20,
 raised with --force or the RDYCK_MAX_N environment variable, and an
 RDYCK_MAX_N that is not a non-negative integer, whatever the command).
 """
@@ -16,7 +17,7 @@ import sys
 from collections.abc import Iterable
 
 from rdyck.bijection import check_bijection, collision_pair, phi, phi_inv
-from rdyck.classes import PathClass, _member_blocks, generate, member, oracle_generate
+from rdyck.classes import PathClass, _member_blocks, _member_texts, member, oracle_generate
 from rdyck.compositions import (
     Composition,
     PartSet,
@@ -237,14 +238,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     # n outermost: one oracle call sorts each semilength's candidates into all
     # three families, as step texts, and every check that needs a family at n
-    # reads the one tuple built for it, in U<D order: generation and the
-    # intersection compare texts, and the maps take the paths.  A family is
-    # no longer checked against the oracle after its first failure, but is
-    # still built for the other checks; where the oracle disagrees, they take
-    # the oracle's members, so that one fault of the generator fails one
-    # check.  One ordered pass proves each map: compositions of n - 1 onto the
-    # family of semilength n and, where s = t*r + 1, quasi at n - t - 1 onto
-    # restricted at n (each quasi tuple waits t + 1 semilengths for it).
+    # reads the one tuple of texts built for it, in U<D order: generation and
+    # the intersection compare texts, and the maps build the only path
+    # objects.  A family is no longer checked against the oracle after its
+    # first failure, but is still built for the other checks; where the
+    # oracle disagrees, they take the oracle's texts, so that one fault of the
+    # generator fails one check.  One ordered pass proves each map:
+    # compositions of n - 1 onto the family of semilength n and, where
+    # s = t*r + 1, quasi at n - t - 1 onto restricted at n (each quasi tuple
+    # waits t + 1 semilengths for it).
     generation = dict.fromkeys(PathClass, "")
     intersection = ""
     part_sets = {"unbounded": (False, PathClass.RATIONAL), "bounded": (True, PathClass.RESTRICTED)}
@@ -252,15 +254,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     t = (q.s - 1) // q.r
     bijective = valley_slope(q) is not None
     bijection = ""
-    waiting: dict[int, tuple[DyckPath, ...]] = {}
+    waiting: dict[int, tuple[str, ...]] = {}
     for n in range(nmax + 1):
         # n by keyword, which perfbench/spans.py reads as the semilength
         oracle = oracle_generate(q, n=n)
-        families = {}
         texts = {}
         for path_class, detail in generation.items():
-            families[path_class] = built = generate(q, path_class, n)
-            texts[path_class] = steps = tuple(path.steps for path in built)
+            texts[path_class] = steps = _member_texts(q, path_class, n)
             if detail:
                 continue
             checked = oracle[path_class]
@@ -269,7 +269,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 missing = [text for text in checked if text not in built_set]
                 extra = [text for text in steps if text not in checked_set]
                 generation[path_class] = f"n={n} missing={missing} extra={extra}"
-                families[path_class] = tuple(map(DyckPath, checked))
                 texts[path_class] = checked
         if not intersection:
             meet = set(texts[PathClass.RATIONAL]).intersection(texts[PathClass.QUASI])
@@ -278,16 +277,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 intersection = f"n={n} witnesses={sorted(meet ^ expected)}"
         for label, (finite, path_class) in part_sets.items():
             if n and not compositions[label]:
-                compositions[label] = _composition_fault(q, PartSet(q, finite), n - 1, families[path_class])
+                compositions[label] = _composition_fault(q, PartSet(q, finite), n - 1, texts[path_class])
         if bijective:
-            waiting[n] = families[PathClass.QUASI]
+            waiting[n] = texts[PathClass.QUASI]
             if n > t:
                 domain = waiting.pop(n - t - 1)
                 if not bijection:
-                    bijection = _bijection_fault(q, n - t - 1, domain, families[PathClass.RESTRICTED])
+                    bijection = _bijection_fault(q, n - t - 1, domain, texts[PathClass.RESTRICTED])
     if bijective and nmax <= t:
         # n = 0 is checked all the same, onto images past nmax
-        bijection = _bijection_fault(q, 0, waiting[0], generate(q, PathClass.RESTRICTED, t + 1))
+        bijection = _bijection_fault(q, 0, waiting[0], _member_texts(q, PathClass.RESTRICTED, t + 1))
 
     for path_class, detail in generation.items():
         report(f"generation {path_class.value}", not detail, detail)
@@ -334,35 +333,36 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _composition_fault(q: RationalParam, part_set: PartSet, n: int, paths: tuple[DyckPath, ...]) -> str:
+def _composition_fault(q: RationalParam, part_set: PartSet, n: int, texts: tuple[str, ...]) -> str:
     """The first fault of the composition maps between the compositions of
-    ``n`` over ``part_set`` and ``paths``, the family of semilength n+1 in U<D
+    ``n`` over ``part_set`` and ``texts``, the family of semilength n+1 in U<D
     order; empty when there is none.  ``comp_to_path`` reverses that order, so
     the pass pairs them from the end; each image in place and mapped back
     proves both maps bijective and each the other's inverse."""
     comps = enumerate_compositions(part_set, n)
-    if len(comps) != len(paths):
-        return f"n={n} compositions={len(comps)} paths={len(paths)}"
-    for comp, path in zip(comps, reversed(paths)):
-        if comp_to_path(q, comp) != path:
+    if len(comps) != len(texts):
+        return f"n={n} compositions={len(comps)} paths={len(texts)}"
+    for comp, text in zip(comps, reversed(texts)):
+        path = comp_to_path(q, comp)
+        if path.steps != text:
             return f"n={n} composition={comp.to_text()}"
         if path_to_comp(q, path) != comp:
-            return f"n={n} path={path.steps}"
+            return f"n={n} path={text}"
     return ""
 
 
-def _bijection_fault(
-    q: RationalParam, n: int, domain: tuple[DyckPath, ...], codomain: tuple[DyckPath, ...]
-) -> str:
+def _bijection_fault(q: RationalParam, n: int, domain: tuple[str, ...], codomain: tuple[str, ...]) -> str:
     """The first fault of the quasi->restricted map from semilength ``n``, where
-    ``domain`` and ``codomain`` are the quasi family at n and the restricted
-    family at n + t + 1; empty when there is none.  ``phi`` keeps U<D order
-    (see :mod:`rdyck.bijection`), so the pass pairs them by position."""
+    ``domain`` and ``codomain`` are the texts of the quasi family at n and the
+    restricted family at n + t + 1; empty when there is none.  ``phi`` keeps
+    U<D order (see :mod:`rdyck.bijection`), so the pass pairs them by
+    position."""
     if len(domain) != len(codomain):
         return f"n={n} domain={len(domain)} codomain={len(codomain)}"
-    for path, image in zip(domain, codomain):
-        if phi(q, path) != image or phi_inv(q, image) != path:
-            return f"n={n} path={path.steps}"
+    for text, expected in zip(domain, codomain):
+        image = phi(q, DyckPath(text))
+        if image.steps != expected or phi_inv(q, image).steps != text:
+            return f"n={n} path={text}"
     return ""
 
 
@@ -478,4 +478,12 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; the flush at exit would fail the same
+        # way, so stdout is pointed at the null device first
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

@@ -14,12 +14,11 @@ from rdyck import (
     defactorize,
     factorize,
     generate,
-    iter_generate,
     member,
     min_valleys,
     oracle_generate,
 )
-from rdyck.classes import _member_walk, _oracle_steps
+from rdyck.classes import _member_blocks, _member_texts, _member_walk, _oracle_steps
 
 from exhaustive import oracle_all_height2
 
@@ -277,7 +276,7 @@ class TestStreaming:
                 q = RationalParam(r, s)
                 for cls in PathClass:
                     for n in range(15):
-                        got = tuple(p.steps for p in iter_generate(q, cls, n))
+                        got = tuple(p.steps for p in generate(q, cls, n))
                         assert got == reference_family(r, s, cls.value, n), (q, cls, n)
 
     def test_first_member_without_the_family(self):
@@ -285,7 +284,8 @@ class TestStreaming:
         # takes the longest peak run first: eleven 2-peak lead-ins (size 5),
         # then a 1-peak lead-in (size 3), then UDUD
         q = RationalParam(2, 3)
-        first = next(iter_generate(q, PathClass.RESTRICTED, 60))
+        joined, _ = next(_member_blocks(q, PathClass.RESTRICTED, 60))
+        first = DyckPath(joined.split("\n")[0])
         assert first.steps == "UUDUDDUDUD" * 11 + "UUDDUD" + "UDUD"
         assert member(q, PathClass.RESTRICTED, first)
 
@@ -313,13 +313,14 @@ class TestStreaming:
                     assert 1 <= min(counts) and max(counts) <= size, (q, cls, n)
 
     def test_negative_semilength_raises_at_the_call(self):
-        with pytest.raises(ValueError):
-            iter_generate(RationalParam(1, 1), PathClass.QUASI, -1)
+        for route in (generate, _member_texts):
+            with pytest.raises(ValueError, match="semilength must be >= 0, got -1"):
+                route(RationalParam(1, 1), PathClass.QUASI, -1)
 
     def test_memory_is_bounded(self):
         tracemalloc.start()
         try:
-            count = sum(1 for _ in iter_generate(RationalParam(1, 1), PathClass.QUASI, 22))
+            count = sum(count for _, count in _member_blocks(RationalParam(1, 1), PathClass.QUASI, 22))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -331,7 +332,7 @@ class TestStreaming:
         # table bounded only by its count of texts would hold about 80 MB here
         tracemalloc.start()
         try:
-            count = sum(1 for _ in iter_generate(RationalParam(1, 1000), PathClass.RATIONAL, 1258))
+            count = sum(count for _, count in _member_blocks(RationalParam(1, 1000), PathClass.RATIONAL, 1258))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -400,6 +401,11 @@ class TestOracle:
         for name in ("_scan_blocks", "_accepts", "DyckPath"):
             monkeypatch.setattr(rdyck.classes, name, forbidden)
         assert oracle_generate(q, 9) == expected
+
+    def test_negative_semilength_raises(self):
+        # as generate does, rather than returning three empty families
+        with pytest.raises(ValueError, match="semilength must be >= 0, got -1"):
+            oracle_generate(RationalParam(3, 4), -1)
 
     @pytest.mark.parametrize("r,s", [(3, 4), (1, 1)], ids=["3/4", "1/1"])
     def test_oracle_equals_constructive_past_twelve(self, r, s):

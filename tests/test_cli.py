@@ -20,7 +20,7 @@ from rdyck import (
     count_enumeration,
     count_recurrence,
     generate,
-    iter_generate,
+    oracle_generate,
     rational_gf,
     series_coeffs,
 )
@@ -130,7 +130,7 @@ class TestBlocks:
                 for path_class in PathClass:
                     sizes = []
                     for n in range(11):
-                        steps = [p.steps for p in iter_generate(q, path_class, n)]
+                        steps = list(oracle_generate(q, n)[path_class])
                         sizes.append(len(steps))
                         argv = ("enumerate", "--class", path_class.value, "--q", str(q), "--n", str(n))
                         lines = "".join(f"{text}\n" for text in steps)
@@ -352,6 +352,32 @@ def test_runs_as_module():
     assert (done.returncode, done.stdout) == (0, "true\n")
 
 
+@pytest.mark.parametrize(
+    "argv,read_first",
+    [
+        (("enumerate", "--class", "r", "--q", "1/1", "--n", "20"), True),
+        (("series", "--q", "1/1", "--gf", "rational", "--nmax", "3000"), True),
+        (("check-bijection", "--q", "3/2", "--n", "14"), False),
+    ],
+    ids=["enumerate", "series", "check-bijection"],
+)
+def test_closed_pipe_exits_one_without_a_traceback(argv, read_first):
+    # the reader takes the first bytes (as `| head -c 64` does) or nothing,
+    # and closes its end; the first two write far more than a pipe holds, so
+    # the writer is still writing when it does
+    src = os.path.dirname(os.path.dirname(rdyck.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "rdyck", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    if read_first:
+        assert os.read(child.stdout.fileno(), 64)
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (1, b"")
+
+
 class TestMap:
     def test_path2comp(self, capsys):
         code, out, _ = invoke(capsys, "map", "path2comp", "--q", "3/4", "UUDUDDUDUDUD")
@@ -437,19 +463,30 @@ class TestVerify:
     def test_full_output(self, capsys, qtext, expected):
         assert invoke(capsys, "verify", "--q", qtext, "--nmax", "8") == (0, expected, "")
 
+    @pytest.mark.parametrize("qtext,expected", [("3/4", VERIFY_3_4), ("3/2", VERIFY_3_2)], ids=["3/4", "3/2"])
+    def test_verify_builds_no_family_of_paths(self, capsys, monkeypatch, qtext, expected):
+        # verify holds the families as step texts; the only path objects are
+        # the maps' inputs and images, so generate is never called
+        def refuse(*args, **kwargs):
+            raise AssertionError("generate called")
+
+        for module in (rdyck.classes, rdyck.bijection, rdyck.cli):
+            monkeypatch.setattr(module, "generate", refuse, raising=False)
+        assert invoke(capsys, "verify", "--q", qtext, "--nmax", "8") == (0, expected, "")
+
     def test_generation_failure_is_reported_once(self, capsys, monkeypatch):
-        # drop one path from the first restricted n=3 generation only: that call
+        # drop one text from the first restricted n=3 generation only: that call
         # is the generation check's, which runs before the intersection and
-        # composition checks ask for the same paths
-        real = rdyck.cli.generate
+        # composition checks ask for the same texts
+        real = rdyck.cli._member_texts
         dropped = []
 
         def lossy(q, path_class, n):
-            paths = real(q, path_class, n)
+            texts = real(q, path_class, n)
             if path_class is PathClass.RESTRICTED and n == 3 and not dropped:
-                dropped.append(paths[0].steps)
-                return paths[1:]
-            return paths
+                dropped.append(texts[0])
+                return texts[1:]
+            return texts
 
         real_oracle = rdyck.cli.oracle_generate
         oracle_calls = []
@@ -458,7 +495,7 @@ class TestVerify:
             oracle_calls.append(n)
             return real_oracle(q, n)
 
-        monkeypatch.setattr(rdyck.cli, "generate", lossy)
+        monkeypatch.setattr(rdyck.cli, "_member_texts", lossy)
         monkeypatch.setattr(rdyck.cli, "oracle_generate", recorded_oracle)
         code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
         assert code == 1
@@ -473,13 +510,13 @@ class TestVerify:
         # path climbs to level three, so no family has it; it is named as
         # extra, and every later check, which reads the oracle's members in
         # its place, still passes
-        real = rdyck.cli.generate
+        real = rdyck.cli._member_texts
 
         def padded(q, path_class, n):
-            paths = real(q, path_class, n)
-            return paths + (DyckPath("UUUDUDDD"),) if path_class is PathClass.QUASI and n == 4 else paths
+            texts = real(q, path_class, n)
+            return texts + ("UUUDUDDD",) if path_class is PathClass.QUASI and n == 4 else texts
 
-        monkeypatch.setattr(rdyck.cli, "generate", padded)
+        monkeypatch.setattr(rdyck.cli, "_member_texts", padded)
         code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
         assert code == 1
         failure = "FAIL generation quasi: n=4 missing=[] extra=['UUUDUDDD']"
@@ -492,15 +529,15 @@ class TestVerify:
         # the intersection check, the bounded composition check (at
         # compositions of 2) and the bijection check (from quasi n=1, t = 1)
         # read the same tuples, and see it
-        real_generate, real_oracle = rdyck.cli.generate, rdyck.cli.oracle_generate
+        real_texts, real_oracle = rdyck.cli._member_texts, rdyck.cli.oracle_generate
         lost = []
 
-        def losing_generate(q, path_class, n):
-            paths = real_generate(q, path_class, n)
+        def losing_texts(q, path_class, n):
+            texts = real_texts(q, path_class, n)
             if path_class is PathClass.RESTRICTED and n == 3:
-                assert [paths[0].steps] == lost
-                return paths[1:]
-            return paths
+                assert [texts[0]] == lost
+                return texts[1:]
+            return texts
 
         def losing_oracle(q, n):
             # the oracle gives step texts, and runs first at each n
@@ -510,7 +547,7 @@ class TestVerify:
                 split[PathClass.RESTRICTED] = split[PathClass.RESTRICTED][1:]
             return split
 
-        monkeypatch.setattr(rdyck.cli, "generate", losing_generate)
+        monkeypatch.setattr(rdyck.cli, "_member_texts", losing_texts)
         monkeypatch.setattr(rdyck.cli, "oracle_generate", losing_oracle)
         code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
         assert code == 1
@@ -523,7 +560,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("nmax,extra", [(8, []), (1, [(PathClass.RESTRICTED, 3)])], ids=["8", "1"])
     def test_round_trips_read_the_loop_families(self, capsys, monkeypatch, nmax, extra):
-        # only the generation loop calls generate; past it, only n = 0 when
+        # only the generation loop calls _member_texts; past it, only n = 0 when
         # nmax <= t, whose images lie past nmax (t = 2 at 1/3); the families
         # are never built again through check_bijection
         calls = []
@@ -536,7 +573,7 @@ class TestVerify:
 
             return call
 
-        monkeypatch.setattr(rdyck.cli, "generate", recorded(rdyck.cli.generate, calls))
+        monkeypatch.setattr(rdyck.cli, "_member_texts", recorded(rdyck.cli._member_texts, calls))
         monkeypatch.setattr(rdyck.bijection, "generate", recorded(rdyck.bijection.generate, rebuilt))
         monkeypatch.setattr(rdyck.cli, "check_bijection", recorded(rdyck.cli.check_bijection, rebuilt))
         code, out, _ = invoke(capsys, "verify", "--q", "1/3", "--nmax", str(nmax))

@@ -342,12 +342,17 @@ class TestDigitLimit:
         assert "usage" in err
 
 
-def test_runs_as_module():
+def module_env():
+    """The environment for ``python -m rdyck`` in a child process, with this
+    checkout's source first on its path."""
     src = os.path.dirname(os.path.dirname(rdyck.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_runs_as_module():
     done = subprocess.run(
         [sys.executable, "-m", "rdyck", "member", "--class", "r", "--q", "1/1", "UD"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=module_env(), timeout=60,
     )
     assert (done.returncode, done.stdout) == (0, "true\n")
 
@@ -365,11 +370,9 @@ def test_closed_pipe_exits_one_without_a_traceback(argv, read_first):
     # the reader takes the first bytes (as `| head -c 64` does) or nothing,
     # and closes its end; the first two write far more than a pipe holds, so
     # the writer is still writing when it does
-    src = os.path.dirname(os.path.dirname(rdyck.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     child = subprocess.Popen(
         [sys.executable, "-m", "rdyck", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
     )
     if read_first:
         assert os.read(child.stdout.fileno(), 64)

@@ -141,19 +141,18 @@ def check_bijection(q: RationalParam, n: int) -> PhiReport:
     )
 
 
-def collision_pair(q: RationalParam, alpha: DyckPath = EMPTY_PATH) -> tuple[DyckPath, DyckPath]:
+def collision_pair(q: RationalParam) -> tuple[DyckPath, DyckPath]:
     """Two distinct quasi members of equal semilength with the same image.
 
     Such pairs exist exactly when s != t*r + 1.  Writing demand(i) for the
     valley demand of i peaks, let a be the largest index whose demand gap
     demand(a+1) - demand(a) equals t + 1 (one exists: the r - 1 gaps are each
-    t or t + 1 and sum to more than t*(r-1)).  Both paths extend ``alpha``
-    (any restricted member, possibly empty):
+    t or t + 1 and sum to more than t*(r-1)).  Each path is a single block:
 
-    * one ends with the tight block (a, demand(a)), to which the map only adds
+    * one is the tight block (a, demand(a)), to which the map only adds
       t + 1 valleys;
     * the other packs the same semilength into peaks first — with
-      m = a + demand(a), it ends with the block (min(m, r), max(m - r, 0)) —
+      m = a + demand(a), it is the block (min(m, r), max(m - r, 0)) —
       and the minimal-search conversion takes it to the very same image (that
       minimality lands exactly on the block (a, demand(a)) is equivalent to
       the demand gap at a being t + 1).
@@ -164,8 +163,6 @@ def collision_pair(q: RationalParam, alpha: DyckPath = EMPTY_PATH) -> tuple[Dyck
     if valley_slope(q) is not None:
         raise ValueError(f"the map is a bijection for {q}; no collisions exist")
     t = (q.s - 1) // q.r
-    if not member(q, PathClass.RESTRICTED, alpha):
-        raise ValueError(f"prefix must be a restricted-family member: {alpha.steps!r}")
     gap_index = None
     for i in range(q.r - 1, 0, -1):
         if min_valleys(q, i + 1) - min_valleys(q, i) == t + 1:
@@ -174,10 +171,8 @@ def collision_pair(q: RationalParam, alpha: DyckPath = EMPTY_PATH) -> tuple[Dyck
     if gap_index is None:
         raise RuntimeError(f"no valley-demand gap of {t + 1} found for {q}")
     tight_valleys = min_valleys(q, gap_index)
-    swollen_tail = _render_blocks((_peaks_first(q, gap_index + tight_valleys),))
-    tight_tail = _render_blocks(((gap_index, tight_valleys),))
-    swollen = DyckPath(alpha.steps + swollen_tail)
-    tight = DyckPath(alpha.steps + tight_tail)
+    swollen = DyckPath(_render_blocks((_peaks_first(q, gap_index + tight_valleys),)))
+    tight = DyckPath(_render_blocks(((gap_index, tight_valleys),)))
     for candidate in (swollen, tight):
         if not member(q, PathClass.QUASI, candidate):
             raise RuntimeError(f"constructed path fell outside the quasi family: {candidate.steps!r}")

@@ -176,8 +176,8 @@ def _member_walk(q: RationalParam, path_class: PathClass, n: int) -> Iterator[tu
     table is one block, ``prefix`` joined before each of its texts by one
     ``str.join``.  The table lives for one call only.
     """
-    quasi = path_class is PathClass.QUASI
-    arch = "UD" * q.r + "DU" * (q.s - 1) if quasi else ""
+    # the walk reads at most the first 2(n-1) steps of (UD)^r (DU)^(s-1)
+    arch = "UD" * min(q.r, n) + "DU" * min(q.s - 1, n) if path_class is PathClass.QUASI else ""
     leads = []
     for p in range(1, n if path_class is PathClass.RATIONAL else q.r + 1):
         size = part_size(q, p)

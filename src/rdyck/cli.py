@@ -174,9 +174,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
     for method in methods:
         if method == "enumeration":
             _ensure_cap(args, args.nmax)
-            texts[method] = map(str, count_enumeration(q, path_class, args.nmax).values)
+            texts[method] = map(str, count_enumeration(q, path_class, args.nmax))
         elif method == "recurrence":
-            texts[method] = map(str, count_recurrence(q, path_class, args.nmax).values)
+            texts[method] = map(str, count_recurrence(q, path_class, args.nmax))
         else:
             texts[method] = _series_texts(class_gf(q, path_class), args.nmax)
     _print_counts(args.format, texts)
@@ -294,14 +294,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         enum = count_enumeration(q, path_class, nmax)
         rec = count_recurrence(q, path_class, nmax)
         ser = series_coeffs(class_gf(q, path_class), nmax)
-        agree = enum.values == rec.values == ser.values
-        routes = f"enumeration={enum.as_line()} recurrence={rec.as_line()} series={ser.as_line()}"
+        agree = enum == rec == ser
+        routes = f"enumeration={_line(enum)} recurrence={_line(rec)} series={_line(ser)}"
         if path_class is PathClass.RATIONAL:
             # two more routes, named in the detail only when they disagree
             unreduced = series_coeffs(rational_gf_unreduced(q), nmax)
             if unreduced != ser:
                 agree = False
-                routes += f" unreduced={unreduced.as_line()}"
+                routes += f" unreduced={_line(unreduced)}"
             if not check_sum_identity(q, max(nmax, 1)):
                 agree = False
                 routes += " sum_identity=false"
@@ -331,6 +331,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report("collisions", differs and pair_ok, pair_detail)
 
     return 1 if failures else 0
+
+
+def _line(counts: tuple[int, ...]) -> str:
+    return ",".join(map(str, counts))
 
 
 def _composition_fault(q: RationalParam, part_set: PartSet, n: int, texts: tuple[str, ...]) -> str:

@@ -16,7 +16,9 @@ at r = s = 1 the semilength-2 count would come out 1 even though both UDUD
 and UUDD belong.  The same +1 appears in the closed form as the numerator sum
 of x^j over 2 <= j <= r+s.
 
-All arithmetic is exact: Python integers throughout, never floats.
+All arithmetic is exact: Python integers throughout, never floats.  A
+polynomial is a tuple of coefficients indexed by exponent, built as a dense
+list, and a table of counts is a tuple indexed by semilength.
 
 Printing a series is a separate concern.  CPython turns an int into decimal
 text in time quadratic in its digits, and the rational counts at semilength
@@ -32,7 +34,7 @@ routes through :func:`series_coeffs`, and the tests compare
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul, sub
@@ -41,8 +43,6 @@ from rdyck.classes import PathClass, _member_blocks
 from rdyck.core import RationalParam, part_size
 
 __all__ = [
-    "CountTable",
-    "Polynomial",
     "RationalSeries",
     "check_sum_identity",
     "class_gf",
@@ -57,96 +57,45 @@ __all__ = [
 ]
 
 
-class Polynomial:
-    """Dense integer polynomial; coefficient index = exponent, trailing zeros stripped."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()) -> None:
-        items = list(coeffs)
-        while items and items[-1] == 0:
-            items.pop()
-        self.coeffs: tuple[int, ...] = tuple(items)
-
-    @classmethod
-    def from_terms(cls, terms: dict[int, int]) -> "Polynomial":
-        """Build from an exponent -> coefficient mapping."""
-        if not terms:
-            return cls()
-        top = max(terms)
-        dense = [0] * (top + 1)
-        for exponent, coefficient in terms.items():
-            if exponent < 0:
-                raise ValueError(f"negative exponent {exponent}")
-            dense[exponent] += coefficient
-        return cls(dense)
-
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, exponent: int) -> int:
-        if 0 <= exponent < len(self.coeffs):
-            return self.coeffs[exponent]
-        return 0
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        size = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self[i] + other[i] for i in range(size))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        size = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self[i] - other[i] for i in range(size))
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self.coeffs!r})"
-
-
 @dataclass(frozen=True)
 class RationalSeries:
     """numerator/denominator viewed as a formal power series.
 
-    The denominator's constant term must be 1 so the expansion is defined.
+    Each side is a tuple of integer coefficients indexed by exponent, with
+    trailing zeros stripped on construction (any sequence is taken).  The
+    denominator's constant term must be 1 so the expansion is defined.
     """
 
-    numerator: Polynomial
-    denominator: Polynomial
+    numerator: tuple[int, ...]
+    denominator: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.denominator[0] != 1:
+        object.__setattr__(self, "numerator", _strip(self.numerator))
+        object.__setattr__(self, "denominator", _strip(self.denominator))
+        if self.denominator[:1] != (1,):
             raise ValueError("denominator constant term must be 1 for series expansion")
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Exact counts indexed by semilength."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(v < 0 for v in self.values):
-            raise ValueError("counts must be non-negative")
-
-    def as_line(self) -> str:
-        """Comma-separated values on one line."""
-        return ",".join(str(v) for v in self.values)
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
+def _strip(coeffs: Iterable[int]) -> tuple[int, ...]:
+    # a tuple with no trailing zeros is returned as it is, not copied
+    coeffs = tuple(coeffs)
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    return coeffs[:end]
 
 
-def _run_sum(q: RationalParam) -> Polynomial:
-    # T = sum_{p=1}^{r} x^(p + ceil(ps/r)); the exponents are distinct.
-    return Polynomial.from_terms({part_size(q, p): 1 for p in range(1, q.r + 1)})
+def _minus_run_sum(q: RationalParam, coeffs: list[int]) -> tuple[int, ...]:
+    """``coeffs`` less T = sum_{p=1}^{r} x^(p + ceil(ps/r)), as a tuple.
+
+    T's exponents are distinct and the largest, at p = r, is r+s, so the
+    list is padded to r+s+1 terms and T subtracted in place.  Callers pass a
+    list that nothing else holds, so at large r+s it is freed on return.
+    """
+    coeffs += [0] * (q.r + q.s + 1 - len(coeffs))
+    for p in range(1, q.r + 1):
+        coeffs[part_size(q, p)] -= 1
+    return tuple(coeffs)
 
 
 def rational_gf(q: RationalParam) -> RationalSeries:
@@ -157,13 +106,10 @@ def rational_gf(q: RationalParam) -> RationalSeries:
     with T as in :func:`restricted_gf`.  T already holds one x^(r+s), its
     p = r term, so each side carries -2 x^(r+s) in all.
     """
-    run_sum = _run_sum(q)
     top = q.r + q.s
-    x_top = Polynomial.from_terms({top: 1})
-    x_next = Polynomial.from_terms({top + 1: 1})
     return RationalSeries(
-        Polynomial([1]) - run_sum - x_top,
-        Polynomial([1, -1]) - run_sum - x_top + x_next,
+        _minus_run_sum(q, [1] + [0] * (top - 1) + [-1]),
+        _minus_run_sum(q, [1, -1] + [0] * (top - 2) + [-1, 1]),
     )
 
 
@@ -176,19 +122,21 @@ def rational_gf_unreduced(q: RationalParam) -> RationalSeries:
     Cross-multiplied equality with :func:`rational_gf` is part of the tests.
     """
     top = q.r + q.s
-    num = {0: 1, top: -1}
-    den = {0: 1, 1: -1, top: -1, top + 1: 1}
+    num = [1] + [0] * top
+    den = [1, -1] + [0] * top
+    num[top] -= 1
+    den[top] -= 1
+    den[top + 1] += 1
     for k in range(1, q.r + 1):
         e = part_size(q, k)
-        num[e] = num.get(e, 0) - 1
-        den[e] = den.get(e, 0) - 1
-    return RationalSeries(Polynomial.from_terms(num), Polynomial.from_terms(den))
+        num[e] -= 1
+        den[e] -= 1
+    return RationalSeries(num, den)
 
 
 def restricted_gf(q: RationalParam) -> RationalSeries:
     """(1 - T) / (1 - x - T) with T = sum_{p=1}^{r} x^(p + ceil(ps/r))."""
-    run_sum = _run_sum(q)
-    return RationalSeries(Polynomial([1]) - run_sum, Polynomial([1, -1]) - run_sum)
+    return RationalSeries(_minus_run_sum(q, [1]), _minus_run_sum(q, [1, -1]))
 
 
 def quasi_gf(q: RationalParam) -> RationalSeries:
@@ -196,9 +144,8 @@ def quasi_gf(q: RationalParam) -> RationalSeries:
 
     The x^j sum is the single-arch family noted in the module docstring.
     """
-    run_sum = _run_sum(q)
-    arches = Polynomial([1, 0] + [1] * (q.r + q.s - 1))
-    return RationalSeries(arches - run_sum, Polynomial([1, -1]) - run_sum)
+    num = _minus_run_sum(q, [1, 0] + [1] * (q.r + q.s - 1))
+    return RationalSeries(num, _minus_run_sum(q, [1, -1]))
 
 
 def compositions_gf(q: RationalParam) -> RationalSeries:
@@ -209,7 +156,7 @@ def compositions_gf(q: RationalParam) -> RationalSeries:
     coefficient n+1 there (dropping restricted_gf's constant term leaves
     x / (1 - x - T)).
     """
-    return RationalSeries(Polynomial([1]), Polynomial([1, -1]) - _run_sum(q))
+    return RationalSeries((1,), _minus_run_sum(q, [1, -1]))
 
 
 def class_gf(q: RationalParam, path_class: PathClass) -> RationalSeries:
@@ -221,19 +168,23 @@ def class_gf(q: RationalParam, path_class: PathClass) -> RationalSeries:
     return quasi_gf(q)
 
 
-def series_coeffs(series: RationalSeries, order: int) -> CountTable:
+def series_coeffs(series: RationalSeries, order: int) -> tuple[int, ...]:
     """Exact power-series coefficients a_0..a_order of numerator/denominator.
 
     Standard linear-recurrence expansion: a_n = num_n - sum_{j>=1} den_j * a_{n-j}.
+    The coefficients are counts, so a negative one raises ``ValueError``.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     num, den = series.numerator, series.denominator
     coeffs: list[int] = []
     for n in range(order + 1):
-        value = num[n] - sum(den[j] * coeffs[n - j] for j in range(1, min(n, den.degree()) + 1))
+        value = num[n] if n < len(num) else 0
+        value -= sum(den[j] * coeffs[n - j] for j in range(1, min(n, len(den) - 1) + 1))
+        if value < 0:
+            raise ValueError("counts must be non-negative")
         coeffs.append(value)
-    return CountTable(tuple(coeffs))
+    return tuple(coeffs)
 
 
 # K, the decimal digits per limb of _series_texts.  A limb has at most K
@@ -254,7 +205,7 @@ def _series_texts(series: RationalSeries, order: int) -> Iterator[str]:
     bring every limb into [0, 10^K).  den has negative coefficients, so limb
     sums and carries may be negative on the way; a negative final carry
     means a negative coefficient, which raises the error of
-    :class:`CountTable`.  The top limb is written as it is and the others
+    :func:`series_coeffs`.  The top limb is written as it is and the others
     zero-padded to K digits, so no int of more than K digits is ever
     converted.
     """
@@ -265,11 +216,11 @@ def _series_texts(series: RationalSeries, order: int) -> Iterator[str]:
     padded = f"0{digits}d"
     num, den = series.numerator, series.denominator
     # a_n = num_n + sum of c * a_{n-j} over these (j, c), with c = -den_j
-    terms = [(j, -c) for j, c in enumerate(den.coeffs) if j and c]
+    terms = [(j, -c) for j, c in enumerate(den) if j and c]
     # rows[-j] is a_{n-j}; the empty list is 0, as is a_{n-j} for j > n
-    rows = deque([[]] * den.degree(), maxlen=den.degree())
+    rows = deque(repeat([], len(den) - 1), maxlen=len(den) - 1)
     for n in range(order + 1):
-        limbs = [num[n]]
+        limbs = [num[n] if n < len(num) else 0]
         for j, c in terms:
             row = rows[-j]
             if len(row) > len(limbs):
@@ -297,7 +248,7 @@ def _series_texts(series: RationalSeries, order: int) -> Iterator[str]:
             yield str(limbs[-1]) + "".join([format(limb, padded) for limb in reversed(limbs[:-1])])
 
 
-def count_recurrence(q: RationalParam, path_class: PathClass, order: int) -> CountTable:
+def count_recurrence(q: RationalParam, path_class: PathClass, order: int) -> tuple[int, ...]:
     """Counts c_0..c_order from the suffix recurrence.
 
     c_0 = 1 and, for n >= 1,
@@ -336,10 +287,10 @@ def count_recurrence(q: RationalParam, path_class: PathClass, order: int) -> Cou
             below += 1
         total += sum(values[n - e] for e in exponents[:below])
         values.append(total)
-    return CountTable(tuple(values))
+    return tuple(values)
 
 
-def count_enumeration(q: RationalParam, path_class: PathClass, order: int) -> CountTable:
+def count_enumeration(q: RationalParam, path_class: PathClass, order: int) -> tuple[int, ...]:
     """Counts by literally generating every set; the slow cross-check.
 
     Each member is built and validated, a block of step text at a time, then
@@ -347,8 +298,7 @@ def count_enumeration(q: RationalParam, path_class: PathClass, order: int) -> Co
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    values = tuple(sum(count for _, count in _member_blocks(q, path_class, n)) for n in range(order + 1))
-    return CountTable(values)
+    return tuple(sum(count for _, count in _member_blocks(q, path_class, n)) for n in range(order + 1))
 
 
 def check_sum_identity(q: RationalParam, order: int) -> bool:
@@ -369,8 +319,6 @@ def check_sum_identity(q: RationalParam, order: int) -> bool:
             break
         direct[e] += 1
         p += 1
-    folded = RationalSeries(
-        _run_sum(q),
-        Polynomial.from_terms({0: 1, q.r + q.s: -1}),
-    )
-    return tuple(direct) == series_coeffs(folded, order).values
+    run_sum = [-c for c in _minus_run_sum(q, [])]
+    folded = RationalSeries(run_sum, [1] + [0] * (q.r + q.s - 1) + [-1])
+    return tuple(direct) == series_coeffs(folded, order)

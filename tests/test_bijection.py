@@ -142,14 +142,6 @@ class TestCollisionPair:
         assert member(q, PathClass.QUASI, left)
         assert member(q, PathClass.QUASI, right)
 
-    def test_with_prefix(self):
-        q = RationalParam(5, 4)
-        left, right = collision_pair(q, DyckPath("UD"))
-        assert left != right
-        assert left.steps.startswith("UD") and right.steps.startswith("UD")
-        assert member(q, PathClass.QUASI, left)
-        assert member(q, PathClass.QUASI, right)
-
     def test_pair_collides_under_the_map(self):
         # the pair's shared image shows up as a collision in the full report
         for r, s in NON_BIJECTIVE:
@@ -162,10 +154,6 @@ class TestCollisionPair:
         for r, s in BIJECTIVE:
             with pytest.raises(ValueError):
                 collision_pair(RationalParam(r, s))
-
-    def test_rejects_bad_prefix(self):
-        with pytest.raises(ValueError):
-            collision_pair(RationalParam(3, 2), DyckPath("UUDD"))
 
 
 class TestIndependentCardinalities:

@@ -339,6 +339,18 @@ class TestStreaming:
         assert count == 258
         assert peak < 1 << 20
 
+    def test_arch_is_built_only_as_far_as_it_is_read(self):
+        # the quasi arch (UD)^r (DU)^(s-1) has 2*10^7 steps here, of which a
+        # walk to semilength 3 reads four
+        tracemalloc.start()
+        try:
+            texts = _member_texts(RationalParam(1, 10**7), PathClass.QUASI, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert texts == ("UUDDUD", "UDUUDD", "UDUDUD")
+        assert peak < 1 << 20
+
 
 class TestOracle:
     def test_empty(self):

@@ -19,6 +19,7 @@ from rdyck import (
     check_bijection,
     collision_pair,
     generate,
+    member,
     path_to_comp,
     phi,
     phi_inv,
@@ -95,13 +96,22 @@ def _check_bijection_lines():
 
 
 def _collision_pair_lines():
+    # The digest was recorded when collision_pair still took a prefix, which
+    # had to be a restricted member and was written before each path of the
+    # pair.  The prefix is gone from the library, so the transcript puts it
+    # back itself and writes the line the old check gave for a non-member
+    # prefix; the pair itself and the bijective error still come from
+    # collision_pair.
     prefixes = [path for n in range(4) for path in oracle_all_height2(n)]
     for r, s in GRID:
         q = RationalParam(r, s)
         for prefix in prefixes:
             try:
-                left, right = collision_pair(q, prefix)
-                result = f"{left.steps} {right.steps}"
+                left, right = collision_pair(q)
+                if member(q, PathClass.RESTRICTED, prefix):
+                    result = f"{prefix.steps}{left.steps} {prefix.steps}{right.steps}"
+                else:
+                    result = f"ValueError: prefix must be a restricted-family member: {prefix.steps!r}"
             except ValueError as exc:
                 result = f"ValueError: {exc}"
             yield f"{q} {prefix.steps!r} {result}"

@@ -18,13 +18,7 @@ from collections.abc import Iterable
 
 from rdyck.bijection import check_bijection, collision_pair, phi, phi_inv
 from rdyck.classes import PathClass, _member_blocks, _member_texts, member, oracle_generate
-from rdyck.compositions import (
-    Composition,
-    PartSet,
-    comp_to_path,
-    enumerate_compositions,
-    path_to_comp,
-)
+from rdyck.compositions import comp_to_path, enumerate_compositions, path_to_comp
 from rdyck.core import DyckPath, RationalParam, _parse_int, semilength, valley_slope
 from rdyck.counting import (
     _series_texts,
@@ -191,10 +185,27 @@ def _cmd_series(args: argparse.Namespace) -> int:
 def _cmd_map(args: argparse.Namespace) -> int:
     q = _q(args)
     if args.direction == "comp2path":
-        print(comp_to_path(q, Composition.from_text(args.value)).steps)
+        print(comp_to_path(q, _parse_composition(args.value)).steps)
     else:
-        print(path_to_comp(q, DyckPath(args.value)).to_text())
+        print(_composition_text(path_to_comp(q, DyckPath(args.value))))
     return 0
+
+
+def _composition_text(parts: tuple[int, ...]) -> str:
+    """Parts joined by '+'; the empty composition renders as '0'."""
+    return "+".join(map(str, parts)) if parts else "0"
+
+
+def _parse_composition(text: str) -> tuple[int, ...]:
+    """Inverse of _composition_text.  Parts are ASCII digits; whether each
+    is positive, and a part size, is left to :func:`comp_to_path`."""
+    if text == "0":
+        return ()
+    parts = tuple(_parse_int(token) for token in text.split("+"))
+    # a part takes no sign, not even "-0", which the parser reads as 0
+    if "-" in text or None in parts:
+        raise ValueError(f"bad composition {text!r}; expected '0' or '+'-joined parts")
+    return parts
 
 
 def _cmd_phi(args: argparse.Namespace) -> int:
@@ -277,13 +288,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 intersection = f"n={n} witnesses={sorted(meet ^ expected)}"
         for label, (finite, path_class) in part_sets.items():
             if n and not compositions[label]:
-                compositions[label] = _composition_fault(q, PartSet(q, finite), n - 1, texts[path_class])
+                compositions[label] = _composition_fault(q, finite, n - 1, texts[path_class])
         if bijective:
             waiting[n] = texts[PathClass.QUASI]
             if n > t:
                 domain = waiting.pop(n - t - 1)
                 if not bijection:
                     bijection = _bijection_fault(q, n - t - 1, domain, texts[PathClass.RESTRICTED])
+    if nmax == 0:
+        # the compositions of 0 are checked all the same, onto semilength 1
+        for label, (finite, path_class) in part_sets.items():
+            compositions[label] = _composition_fault(q, finite, 0, _member_texts(q, path_class, 1))
     if bijective and nmax <= t:
         # n = 0 is checked all the same, onto images past nmax
         bijection = _bijection_fault(q, 0, waiting[0], _member_texts(q, PathClass.RESTRICTED, t + 1))
@@ -337,19 +352,21 @@ def _line(counts: tuple[int, ...]) -> str:
     return ",".join(map(str, counts))
 
 
-def _composition_fault(q: RationalParam, part_set: PartSet, n: int, texts: tuple[str, ...]) -> str:
+def _composition_fault(q: RationalParam, finite: bool, n: int, texts: tuple[str, ...]) -> str:
     """The first fault of the composition maps between the compositions of
-    ``n`` over ``part_set`` and ``texts``, the family of semilength n+1 in U<D
-    order; empty when there is none.  ``comp_to_path`` reverses that order, so
-    the pass pairs them from the end; each image in place and mapped back
-    proves both maps bijective and each the other's inverse."""
-    comps = enumerate_compositions(part_set, n)
+    ``n`` over the full part set, or the capped one when ``finite``, and
+    ``texts``, the family of semilength n+1 in U<D order; empty when there is
+    none.  ``comp_to_path`` reverses that order, so the pass pairs them from
+    the end; each image in place and mapped back proves both maps bijective
+    and each the other's inverse.  The compositions are part tuples; a
+    faulty one is named in ``map``'s text format."""
+    comps = enumerate_compositions(q, finite, n)
     if len(comps) != len(texts):
         return f"n={n} compositions={len(comps)} paths={len(texts)}"
     for comp, text in zip(comps, reversed(texts)):
         path = comp_to_path(q, comp)
         if path.steps != text:
-            return f"n={n} composition={comp.to_text()}"
+            return f"n={n} composition={_composition_text(comp)}"
         if path_to_comp(q, path) != comp:
             return f"n={n} path={text}"
     return ""

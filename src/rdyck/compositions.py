@@ -1,78 +1,31 @@
 """Compositions over the rational part sets and their correspondence with paths.
 
-The part set of a parameter r/s is {1} together with the sizes
-p + ceil(p*s/r) for p >= 1 (the full set) or 1 <= p <= r (the capped set).
-Compositions of n over the full set correspond one-to-one with rational-family
-members of semilength n+1, and over the capped set with restricted-family
-members: the part 1 becomes the arch UD, a larger part of size
-p + ceil(ps/r) becomes the lead-in U(UD)^p(DU)^(ceil(ps/r)-1)D, and a final
-UD arch closes the path.
+A composition is a plain tuple of positive integer parts; the empty tuple is
+the composition of 0.  The part set of a parameter r/s is {1} together with
+the sizes p + ceil(p*s/r) for p >= 1 (the full set) or 1 <= p <= r (the
+capped set, ``finite``).  Compositions of n over the full set correspond
+one-to-one with rational-family members of semilength n+1, and over the
+capped set with restricted-family members: the part 1 becomes the arch UD, a
+larger part of size p + ceil(ps/r) becomes the lead-in
+U(UD)^p(DU)^(ceil(ps/r)-1)D, and a final UD arch closes the path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from rdyck.classes import PathClass, _accepts
-from rdyck.core import DyckPath, RationalParam, _parse_int, _scan_blocks, min_valleys, part_size
+from rdyck.core import DyckPath, RationalParam, _scan_blocks, min_valleys, part_size
 
-__all__ = [
-    "Composition",
-    "PartSet",
-    "comp_to_path",
-    "enumerate_compositions",
-    "parts_upto",
-    "path_to_comp",
-]
+__all__ = ["comp_to_path", "enumerate_compositions", "path_to_comp"]
 
 
-@dataclass(frozen=True)
-class Composition:
-    """An ordered tuple of positive parts; the empty tuple is the composition of 0."""
-
-    parts: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        for part in self.parts:
-            # bool is an int subclass, but True+2 is no composition
-            if type(part) is not int or part < 1:
-                raise ValueError(f"parts must be positive integers, got {part!r}")
-
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def to_text(self) -> str:
-        """Parts joined by '+'; the empty composition renders as '0'."""
-        return "+".join(str(p) for p in self.parts) if self.parts else "0"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Composition":
-        """Inverse of to_text."""
-        if text == "0":
-            return cls()
-        parts = tuple(_parse_int(token) for token in text.split("+"))
-        # a part takes no sign, not even "-0", which the parser reads as 0
-        if "-" in text or None in parts:
-            raise ValueError(f"bad composition {text!r}; expected '0' or '+'-joined parts")
-        return cls(parts)
-
-
-@dataclass(frozen=True)
-class PartSet:
-    """{1} plus the part sizes p + ceil(ps/r); all p >= 1, or p <= r when finite."""
-
-    q: RationalParam
-    finite: bool
-
-
-def parts_upto(part_set: PartSet, limit: int) -> tuple[int, ...]:
+def _parts_upto(q: RationalParam, finite: bool, limit: int) -> tuple[int, ...]:
     """All part values <= limit, ascending (part sizes are strictly increasing in p)."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     values = [1]
     p = 1
-    while not part_set.finite or p <= part_set.q.r:
-        size = part_size(part_set.q, p)
+    while not finite or p <= q.r:
+        size = part_size(q, p)
         if size > limit:
             break
         values.append(size)
@@ -80,17 +33,18 @@ def parts_upto(part_set: PartSet, limit: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def enumerate_compositions(part_set: PartSet, n: int) -> tuple[Composition, ...]:
-    """Every composition of ``n`` over the part set, in lexicographic part order."""
+def enumerate_compositions(q: RationalParam, finite: bool, n: int) -> tuple[tuple[int, ...], ...]:
+    """Every composition of ``n`` over the full part set, or the capped one
+    when ``finite``, in lexicographic part order."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    parts = parts_upto(part_set, n) if n else ()
-    found: list[Composition] = []
+    parts = _parts_upto(q, finite, n) if n else ()
+    found: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
     def extend(remaining: int) -> None:
         if remaining == 0:
-            found.append(Composition(tuple(chosen)))
+            found.append(tuple(chosen))
             return
         for part in parts:
             if part > remaining:
@@ -103,16 +57,21 @@ def enumerate_compositions(part_set: PartSet, n: int) -> tuple[Composition, ...]
     return tuple(found)
 
 
-def comp_to_path(q: RationalParam, comp: Composition) -> DyckPath:
+def comp_to_path(q: RationalParam, parts: tuple[int, ...]) -> DyckPath:
     """Image of a composition of n: a rational-family member of semilength n+1.
 
     Each part contributes its lead-in (part 1 the arch UD, a part of size
     p + ceil(ps/r) the lead-in U(UD)^p(DU)^(ceil(ps/r)-1)D) and a final UD
     arch closes the path.  When every part lies in the capped part set the
-    image is a restricted-family member.
+    image is a restricted-family member.  Every part is checked to be a
+    positive integer before any is checked to be a part size.
     """
+    for part in parts:
+        # bool is an int subclass, but True+2 is no composition
+        if type(part) is not int or part < 1:
+            raise ValueError(f"parts must be positive integers, got {part!r}")
     pieces = []
-    for part in comp.parts:
+    for part in parts:
         if part == 1:
             pieces.append("UD")
         else:
@@ -123,7 +82,7 @@ def comp_to_path(q: RationalParam, comp: Composition) -> DyckPath:
     return DyckPath("".join(pieces))
 
 
-def path_to_comp(q: RationalParam, path: DyckPath) -> Composition:
+def path_to_comp(q: RationalParam, path: DyckPath) -> tuple[int, ...]:
     """Recover the composition whose image is ``path``; inverse of comp_to_path.
 
     Read off the maximal blocks: a block of p >= 1 peaks and v valleys holds
@@ -144,7 +103,7 @@ def path_to_comp(q: RationalParam, path: DyckPath) -> Composition:
             parts.append(peaks + demand)
             valleys -= demand
         parts.extend([1] * valleys)
-    return Composition(tuple(parts))
+    return tuple(parts)
 
 
 def _peaks_for(q: RationalParam, size: int) -> int:

@@ -201,13 +201,13 @@ def _series_texts(series: RationalSeries, order: int) -> Iterator[str]:
     them through ``str``, computed in base 10^K (K = ``_LIMB_DIGITS``).
 
     Each a_n is a little-endian list of limbs: the linear combination of the
-    last deg(den) rows is taken limb by limb, then floor ``divmod`` carries
-    bring every limb into [0, 10^K).  den has negative coefficients, so limb
-    sums and carries may be negative on the way; a negative final carry
-    means a negative coefficient, which raises the error of
-    :func:`series_coeffs`.  The top limb is written as it is and the others
-    zero-padded to K digits, so no int of more than K digits is ever
-    converted.
+    last min(deg(den), order + 1) rows is taken limb by limb, then floor
+    ``divmod`` carries bring every limb into [0, 10^K).  den has negative
+    coefficients, so limb sums and carries may be negative on the way; a
+    negative final carry means a negative coefficient, which raises the
+    error of :func:`series_coeffs`.  The top limb is written as it is and
+    the others zero-padded to K digits, so no int of more than K digits is
+    ever converted.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -215,10 +215,12 @@ def _series_texts(series: RationalSeries, order: int) -> Iterator[str]:
     base = 10**digits
     padded = f"0{digits}d"
     num, den = series.numerator, series.denominator
-    # a_n = num_n + sum of c * a_{n-j} over these (j, c), with c = -den_j
-    terms = [(j, -c) for j, c in enumerate(den) if j and c]
+    # a_n = num_n + sum of c * a_{n-j} over these (j, c), with c = -den_j;
+    # a term with j > order meets only a_{n-j} for n - j < 0, which is 0
+    terms = [(j, -c) for j, c in enumerate(den[: order + 1]) if j and c]
     # rows[-j] is a_{n-j}; the empty list is 0, as is a_{n-j} for j > n
-    rows = deque(repeat([], len(den) - 1), maxlen=len(den) - 1)
+    window = min(len(den) - 1, order + 1)
+    rows = deque(repeat([], window), maxlen=window)
     for n in range(order + 1):
         limbs = [num[n] if n < len(num) else 0]
         for j, c in terms:

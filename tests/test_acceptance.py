@@ -7,7 +7,6 @@ All comparisons are exact (integer or set equality); nothing is approximate.
 from rdyck import (
     EMPTY_PATH,
     DyckPath,
-    PartSet,
     PathClass,
     RationalParam,
     check_bijection,
@@ -83,10 +82,9 @@ def test_criterion_01_reference_counts_three_ways():
 
 def test_criterion_02_table_reproduction():
     q = RationalParam(3, 4)
-    part_set = PartSet(q, finite=False)
     for n, (comp_column, path_column) in TABLE_ROWS.items():
-        comps = enumerate_compositions(part_set, n)
-        assert {c.parts for c in comps} == set(comp_column), f"n={n}"
+        comps = enumerate_compositions(q, False, n)
+        assert set(comps) == set(comp_column), f"n={n}"
         paths = generate(q, PathClass.RATIONAL, n + 1)
         assert {p.steps for p in paths} == set(path_column), f"n={n}"
     _passed(2, "composition and path columns reproduced exactly for n=0..5 at q=3/4")
@@ -163,9 +161,8 @@ def test_criterion_08_composition_bijection():
     for r, s in Q_SAMPLE:
         q = RationalParam(r, s)
         for finite, cls in ((False, PathClass.RATIONAL), (True, PathClass.RESTRICTED)):
-            part_set = PartSet(q, finite)
             for n in range(12):
-                comps = enumerate_compositions(part_set, n)
+                comps = enumerate_compositions(q, finite, n)
                 paths = generate(q, cls, n + 1)
                 assert len(comps) == len(paths), (q, finite, n)
                 for comp in comps:

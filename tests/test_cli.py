@@ -13,7 +13,6 @@ import rdyck.classes
 import rdyck.cli
 import rdyck.counting
 from rdyck import (
-    Composition,
     DyckPath,
     PathClass,
     RationalParam,
@@ -631,13 +630,13 @@ class TestVerify:
         # the capped part set {1, 2}, so only the unbounded check meets them,
         # and it stops at the first, 1+4, or its path UD UUDUDD UD UD
         real = getattr(rdyck.cli, name)
-        swap = {(1, 4): Composition((4, 1)), (4, 1): Composition((1, 4))}
+        swap = {(1, 4): (4, 1), (4, 1): (1, 4)}
 
         def faulty(q, value):
             if name == "comp_to_path":
-                return real(q, swap.get(value.parts, value))
+                return real(q, swap.get(value, value))
             comp = real(q, value)
-            return swap.get(comp.parts, comp)
+            return swap.get(comp, comp)
 
         monkeypatch.setattr(rdyck.cli, name, faulty)
         code, out, _ = invoke(capsys, "verify", "--q", "1/1", "--nmax", "8")
@@ -645,6 +644,21 @@ class TestVerify:
         failure = f"FAIL compositions unbounded: n=5 {witness}"
         assert out == VERIFY_3_4.replace("ok compositions unbounded", failure)
         assert out.count("FAIL") == 1
+
+    def test_nmax_zero_checks_the_compositions_of_zero(self, capsys, monkeypatch):
+        # at nmax 0 the loop maps no composition; the compositions of 0 are
+        # still checked onto the families of semilength 1
+        real = rdyck.cli.comp_to_path
+
+        def faulty(q, parts):
+            return DyckPath("UUDD") if parts == () else real(q, parts)
+
+        monkeypatch.setattr(rdyck.cli, "comp_to_path", faulty)
+        code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "0")
+        assert code == 1
+        assert "FAIL compositions unbounded: n=0 composition=0" in out.splitlines()
+        assert "FAIL compositions bounded: n=0 composition=0" in out.splitlines()
+        assert out.count("FAIL") == 2
 
     @pytest.mark.parametrize("qtext", ["3/4", "1/2", "3/2"])
     def test_passes(self, capsys, qtext):

@@ -3,107 +3,103 @@ import math
 import pytest
 
 from rdyck import (
-    Composition,
     DyckPath,
-    PartSet,
     PathClass,
     RationalParam,
     comp_to_path,
     enumerate_compositions,
     generate,
     part_size,
-    parts_upto,
     path_to_comp,
 )
+from rdyck.cli import _composition_text, _parse_composition, run
+from rdyck.compositions import _parts_upto
 
 Q_SAMPLE = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 5)]
 
 
 class TestComposition:
+    # a composition is a plain tuple of parts; its text format is the CLI's
     def test_text_round_trip(self):
-        comp = Composition((1, 3, 1))
-        assert comp.to_text() == "1+3+1"
-        assert Composition.from_text("1+3+1") == comp
-        assert Composition().to_text() == "0"
-        assert Composition.from_text("0") == Composition()
+        assert _composition_text((1, 3, 1)) == "1+3+1"
+        assert _parse_composition("1+3+1") == (1, 3, 1)
+        assert _composition_text(()) == "0"
+        assert _parse_composition("0") == ()
 
     @pytest.mark.parametrize(
         "text", ["", "1+", "+1", "1+x", "1 + 3", "\u00b2", "1+\u0663", "-1", "1+-0", "1_0", "3+"]
     )
     def test_bad_text_rejected(self, text):
         with pytest.raises(ValueError, match="^bad composition"):
-            Composition.from_text(text)
+            _parse_composition(text)
 
     @pytest.mark.parametrize("parts", [(0,), (-1,), (1.5,)])
     def test_bad_parts_rejected(self, parts):
-        with pytest.raises(ValueError):
-            Composition(parts)
+        with pytest.raises(ValueError, match=f"^parts must be positive integers, got {parts[0]!r}$"):
+            comp_to_path(RationalParam(3, 4), parts)
 
     @pytest.mark.parametrize("parts", [(True, 2), (1, False)])
     def test_bool_parts_rejected(self, parts):
         bad = next(part for part in parts if isinstance(part, bool))
         with pytest.raises(ValueError, match=f"^parts must be positive integers, got {bad!r}$"):
-            Composition(parts)
+            comp_to_path(RationalParam(3, 4), parts)
 
-    def test_zero_part_text_keeps_its_message(self):
+    def test_zero_part_text_keeps_its_message(self, capsys):
+        assert run(["map", "comp2path", "--q", "3/4", "1+0"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: parts must be positive integers, got 0\n")
+
+    def test_every_part_is_checked_before_any_part_size(self):
+        # 2 is no part size at 3/4, but the 0 after it is reported first
         with pytest.raises(ValueError, match="^parts must be positive integers, got 0$"):
-            Composition.from_text("1+0")
-
-    def test_total(self):
-        assert Composition((1, 3, 1)).total() == 5
-        assert Composition().total() == 0
+            comp_to_path(RationalParam(3, 4), (2, 0))
 
 
 class TestPartsUpto:
     def test_full_set(self):
-        ps = PartSet(RationalParam(3, 4), finite=False)
-        assert parts_upto(ps, 14) == (1, 3, 5, 7, 10, 12, 14)
+        assert _parts_upto(RationalParam(3, 4), False, 14) == (1, 3, 5, 7, 10, 12, 14)
 
     def test_capped_set(self):
-        ps = PartSet(RationalParam(3, 4), finite=True)
-        assert parts_upto(ps, 100) == (1, 3, 5, 7)
+        assert _parts_upto(RationalParam(3, 4), True, 100) == (1, 3, 5, 7)
 
     def test_unit_case(self):
-        ps = PartSet(RationalParam(1, 1), finite=False)
-        assert parts_upto(ps, 5) == (1, 2, 4)
+        assert _parts_upto(RationalParam(1, 1), False, 5) == (1, 2, 4)
 
     def test_rejects_zero_limit(self):
         with pytest.raises(ValueError):
-            parts_upto(PartSet(RationalParam(1, 1), finite=False), 0)
+            _parts_upto(RationalParam(1, 1), False, 0)
 
 
 class TestEnumerate:
     def test_small_sets(self):
-        ps = PartSet(RationalParam(3, 4), finite=False)
-        assert [c.parts for c in enumerate_compositions(ps, 3)] == [(1, 1, 1), (3,)]
-        assert [c.parts for c in enumerate_compositions(ps, 5)] == [
+        q = RationalParam(3, 4)
+        assert enumerate_compositions(q, False, 3) == ((1, 1, 1), (3,))
+        assert enumerate_compositions(q, False, 5) == (
             (1, 1, 1, 1, 1),
             (1, 1, 3),
             (1, 3, 1),
             (3, 1, 1),
             (5,),
-        ]
+        )
 
     def test_zero(self):
         for r, s in Q_SAMPLE:
             for finite in (False, True):
-                ps = PartSet(RationalParam(r, s), finite)
-                assert enumerate_compositions(ps, 0) == (Composition(),)
+                assert enumerate_compositions(RationalParam(r, s), finite, 0) == ((),)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_compositions(PartSet(RationalParam(1, 1), False), -1)
+            enumerate_compositions(RationalParam(1, 1), False, -1)
 
     def test_every_part_in_set(self):
         for r, s in Q_SAMPLE:
             q = RationalParam(r, s)
             for finite in (False, True):
-                ps = PartSet(q, finite)
                 for n in range(9):
-                    allowed = set(parts_upto(ps, n)) if n else set()
-                    for comp in enumerate_compositions(ps, n):
-                        assert comp.total() == n
-                        assert set(comp.parts) <= allowed
+                    allowed = set(_parts_upto(q, finite, n)) if n else set()
+                    for comp in enumerate_compositions(q, finite, n):
+                        assert sum(comp) == n
+                        assert set(comp) <= allowed
 
 
 class TestMapping:
@@ -112,12 +108,12 @@ class TestMapping:
         [((3,), "UUDDUDUD"), ((1, 3), "UDUUDDUDUD"), ((), "UD")],
     )
     def test_comp_to_path_examples(self, parts, expected):
-        assert comp_to_path(RationalParam(3, 4), Composition(parts)).steps == expected
+        assert comp_to_path(RationalParam(3, 4), parts).steps == expected
 
     @pytest.mark.parametrize("bad_part", [2, 4, 6, 8, 9])
     def test_comp_to_path_rejects_non_part(self, bad_part):
         with pytest.raises(ValueError):
-            comp_to_path(RationalParam(3, 4), Composition((bad_part,)))
+            comp_to_path(RationalParam(3, 4), (bad_part,))
 
     def test_every_size_maps_to_its_part_or_is_rejected(self):
         for r in range(1, 9):
@@ -128,12 +124,12 @@ class TestMapping:
                 lead_ins = {part_size(q, p): p for p in range(1, 61)}
                 for size in range(2, 61):
                     if size in lead_ins:
-                        steps = comp_to_path(q, Composition((size,))).steps
+                        steps = comp_to_path(q, (size,)).steps
                         assert steps.startswith("U" + "UD" * lead_ins[size] + "DU"), (q, size)
-                        assert path_to_comp(q, DyckPath(steps)).parts == (size,)
+                        assert path_to_comp(q, DyckPath(steps)) == (size,)
                     else:
                         with pytest.raises(ValueError) as raised:
-                            comp_to_path(q, Composition((size,)))
+                            comp_to_path(q, (size,))
                         assert str(raised.value) == f"{size} is not a part size for {q}"
 
     @pytest.mark.parametrize(
@@ -141,7 +137,7 @@ class TestMapping:
         [("UUDUDDUDUDUD", (5,)), ("UD", ()), ("UUDDUDUDUD", (3, 1))],
     )
     def test_path_to_comp_examples(self, text, parts):
-        assert path_to_comp(RationalParam(3, 4), DyckPath(text)).parts == parts
+        assert path_to_comp(RationalParam(3, 4), DyckPath(text)) == parts
 
     def test_path_to_comp_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -157,12 +153,11 @@ class TestMapping:
         for r, s in Q_SAMPLE:
             q = RationalParam(r, s)
             for finite, cls in ((False, PathClass.RATIONAL), (True, PathClass.RESTRICTED)):
-                ps = PartSet(q, finite)
                 for n in range(9):
                     # lexicographic order onto reversed U<D order
-                    images = [comp_to_path(q, c) for c in enumerate_compositions(ps, n)]
+                    images = [comp_to_path(q, c) for c in enumerate_compositions(q, finite, n)]
                     assert images == list(reversed(generate(q, cls, n + 1)))
-                    for comp in enumerate_compositions(ps, n):
+                    for comp in enumerate_compositions(q, finite, n):
                         path = comp_to_path(q, comp)
                         assert len(path.steps) == 2 * (n + 1)
                         assert path_to_comp(q, path) == comp
@@ -173,15 +168,15 @@ class TestMapping:
         for r, s in Q_SAMPLE:
             q = RationalParam(r, s)
             for n in range(9):
-                full = enumerate_compositions(PartSet(q, False), n)
-                capped = enumerate_compositions(PartSet(q, True), n)
+                full = enumerate_compositions(q, False, n)
+                capped = enumerate_compositions(q, True, n)
                 assert len(full) == len(generate(q, PathClass.RATIONAL, n + 1))
                 assert len(capped) == len(generate(q, PathClass.RESTRICTED, n + 1))
 
     def test_part_inversion_unique(self):
         for r, s in Q_SAMPLE:
             q = RationalParam(r, s)
-            for value in parts_upto(PartSet(q, False), 25):
+            for value in _parts_upto(q, False, 25):
                 if value == 1:
                     continue
                 hits = [p for p in range(1, 30) if part_size(q, p) == value]

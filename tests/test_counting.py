@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -163,6 +164,8 @@ class TestSeriesTexts:
             pytest.param((), (1, -1), 3, (0, 0, 0, 0), id="empty-numerator"),
             pytest.param((1, 2, 3, 4, 5, 6), (1, -1), 2, (1, 3, 6), id="numerator-past-order"),
             pytest.param((3, 0, 7), (1,), 4, (3, 0, 7, 0, 0), id="denominator-one"),
+            pytest.param((1,), (1, -1, 0, 0, 0, -1), 5, (1, 1, 1, 1, 1, 2), id="denominator-term-at-order"),
+            pytest.param((1,), (1, -1, 0, 0, 0, -1), 4, (1, 1, 1, 1, 1), id="denominator-term-past-order"),
             pytest.param((1,), (1, 1), 3, "counts must be non-negative", id="negative-coefficient"),
         ],
     )
@@ -183,6 +186,19 @@ class TestSeriesTexts:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="order must be >= 0"):
             list(_series_texts(rational_gf(RationalParam(1, 1)), -1))
+
+    def test_rows_are_bounded_by_the_order(self):
+        # a denominator of degree 10^6 read to order 3: only the last rows the
+        # order can reach are kept, not one per degree of the denominator
+        series = RationalSeries((1,), (1,) + (0,) * 10**6 + (-1,))
+        tracemalloc.start()
+        try:
+            texts = list(_series_texts(series, 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert texts == ["1", "0", "0", "0"]
+        assert peak < 1 << 20
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-text digit limit")
     def test_limbs_stay_below_the_strictest_digit_limit(self):

@@ -25,6 +25,7 @@ from rdyck import (
     phi_inv,
     valley_slope,
 )
+from rdyck.cli import _composition_text
 
 from exhaustive import oracle_all_height2
 
@@ -50,7 +51,7 @@ DIGESTS = {
 MAPS = {
     "phi": lambda q, path: phi(q, path).steps,
     "phi_inv": lambda q, path: phi_inv(q, path).steps,
-    "path_to_comp": lambda q, path: path_to_comp(q, path).to_text(),
+    "path_to_comp": lambda q, path: _composition_text(path_to_comp(q, path)),
 }
 
 
@@ -80,7 +81,7 @@ def _path_to_comp_lines():
         q = RationalParam(r, s)
         for n in range(1, NMAX + 1):
             for path in generate(q, PathClass.RATIONAL, n):
-                yield f"{q} {path.steps} {path_to_comp(q, path).to_text()}"
+                yield f"{q} {path.steps} {_composition_text(path_to_comp(q, path))}"
 
 
 def _check_bijection_lines():

@@ -4,9 +4,7 @@ from itertools import accumulate
 from hypothesis import example, given, settings, strategies as st
 
 from rdyck import (
-    Composition,
     DyckPath,
-    PartSet,
     PathClass,
     RationalParam,
     comp_to_path,
@@ -23,6 +21,7 @@ from rdyck import (
     valley_slope,
 )
 from rdyck.classes import _member_walk
+from rdyck.cli import _composition_text, _parse_composition
 from rdyck.core import _low_paths
 
 from exhaustive import oracle_all_height2
@@ -116,7 +115,7 @@ def test_intersection_identity(q, n):
 @settings(max_examples=30, deadline=None)
 @given(rationals(), st.booleans(), st.integers(min_value=0, max_value=7))
 def test_composition_round_trip(q, finite, n):
-    for comp in enumerate_compositions(PartSet(q, finite), n):
+    for comp in enumerate_compositions(q, finite, n):
         path = comp_to_path(q, comp)
         assert member(q, PathClass.RATIONAL, path)
         assert path_to_comp(q, path) == comp
@@ -137,8 +136,8 @@ def test_phi_round_trip_when_defined(q, n):
 
 @given(st.lists(st.integers(min_value=1, max_value=30), max_size=6))
 def test_composition_text_round_trip(parts):
-    comp = Composition(tuple(parts))
-    assert Composition.from_text(comp.to_text()) == comp
+    comp = tuple(parts)
+    assert _parse_composition(_composition_text(comp)) == comp
 
 
 def is_low_path(text):

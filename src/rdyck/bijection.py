@@ -32,6 +32,15 @@ the same rule, minimal-search version, still lands in the restricted family
 and still covers it, but it stops being injective.
 :func:`check_bijection` measures this on a whole semilength and
 :func:`collision_pair` builds an explicit colliding pair.
+
+The map and its inverse are private cores on step texts, ``_phi_text`` and
+``_phi_inv_text``, which take their input as checked.  ``_phi_text`` keeps
+the map's two self-checks (the final block it expects, and the closed form
+for h against the minimal search); ``_apply`` adds the check that the image
+is restricted.  :func:`phi` and :func:`phi_inv` are thin wrappers that test
+membership and wrap the result in a path, :func:`check_bijection` maps the
+family's texts through ``_apply``, and ``rdyck verify`` calls both cores,
+comparing every image with the generated restricted family.
 """
 
 from __future__ import annotations
@@ -39,10 +48,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from rdyck.classes import PathClass, _accepts, generate, member
+from rdyck.classes import PathClass, _accepts, _member_texts, member
 from rdyck.core import (
     DyckPath,
-    EMPTY_PATH,
     RationalParam,
     _render_blocks,
     _scan_blocks,
@@ -85,7 +93,7 @@ def phi(q: RationalParam, path: DyckPath) -> DyckPath:
         raise ValueError(f"the map needs s = t*r + 1; {q} admits no such t")
     if not member(q, PathClass.QUASI, path):
         raise ValueError(f"path is not a quasi-family member for {q}: {path.steps!r}")
-    return _apply(q, t, path)
+    return DyckPath(_apply(q, t, path.steps))
 
 
 def phi_inv(q: RationalParam, path: DyckPath) -> DyckPath:
@@ -93,18 +101,11 @@ def phi_inv(q: RationalParam, path: DyckPath) -> DyckPath:
     t = valley_slope(q)
     if t is None:
         raise ValueError(f"the map needs s = t*r + 1; {q} admits no such t")
-    blocks = _scan_blocks(path.steps)
-    if blocks is None or not _accepts(q, PathClass.RESTRICTED, blocks):
+    if not member(q, PathClass.RESTRICTED, path):
         raise ValueError(f"path is not a restricted-family member for {q}: {path.steps!r}")
     if semilength(path) < t + 1:
         raise ValueError(f"semilength {semilength(path)} is too small to be an image; need >= {t + 1}")
-    if path.steps == "UD" * (t + 1):
-        return EMPTY_PATH
-    *head, (peaks, valleys) = blocks
-    valleys -= t + 1
-    if valleys < _demand(q, peaks):
-        peaks, valleys = _peaks_first(q, peaks + valleys)
-    source = DyckPath(_render_blocks((*head, (peaks, valleys))))
+    source = DyckPath(_phi_inv_text(q, t, path.steps))
     if not member(q, PathClass.QUASI, source):
         raise RuntimeError(f"preimage fell outside the quasi family: {source.steps!r}")
     return source
@@ -116,19 +117,21 @@ def check_bijection(q: RationalParam, n: int) -> PhiReport:
     Uses t = floor((s-1)/r).  When s = t*r + 1 the closed-form conversion
     counts are asserted along the way; otherwise only the minimal search
     applies, and the report's collision list is how non-injectivity shows up.
+    Both families are read as step texts; only the colliding pairs become
+    path objects.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     t = (q.s - 1) // q.r
-    domain = generate(q, PathClass.QUASI, n)
-    codomain = generate(q, PathClass.RESTRICTED, n + t + 1)
-    fibers: dict[DyckPath, list[DyckPath]] = {}
+    domain = _member_texts(q, PathClass.QUASI, n)
+    codomain = _member_texts(q, PathClass.RESTRICTED, n + t + 1)
+    fibers: dict[str, list[str]] = {}
     for source in domain:
         fibers.setdefault(_apply(q, t, source), []).append(source)
     collisions: list[tuple[DyckPath, DyckPath]] = []
     # U < D order: the images share one length, so it is text order reversed
-    for image in sorted(fibers, key=lambda path: path.steps, reverse=True):
-        collisions.extend(combinations(fibers[image], 2))
+    for image in sorted(fibers, reverse=True):
+        collisions.extend((DyckPath(left), DyckPath(right)) for left, right in combinations(fibers[image], 2))
     return PhiReport(
         q=q,
         n=n,
@@ -178,7 +181,7 @@ def collision_pair(q: RationalParam) -> tuple[DyckPath, DyckPath]:
             raise RuntimeError(f"constructed path fell outside the quasi family: {candidate.steps!r}")
     if swollen == tight:
         raise RuntimeError("constructed pair is not distinct")
-    if _apply(q, t, swollen) != _apply(q, t, tight):
+    if _apply(q, t, swollen.steps) != _apply(q, t, tight.steps):
         raise RuntimeError("constructed pair does not collide")
     return (swollen, tight)
 
@@ -205,19 +208,40 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _apply(q: RationalParam, t: int, path: DyckPath) -> DyckPath:
-    if not path.steps:
-        text = "UD" * (t + 1)
-    else:
-        # UD has no blocks; it is read as the single block (0, 0)
-        *head, (peaks, valleys) = _scan_blocks(path.steps) or ((0, 0),)
-        if valleys and peaks != q.r and valleys < _demand(q, peaks):
-            raise RuntimeError(f"unexpected final block {(peaks, valleys)} outside the restricted family")
-        h = _min_conversion(q, t, peaks, valleys)
-        if q.s == t * q.r + 1 and h != max(0, _ceil_div(peaks * t - valleys + 1, t + 1) - 1):
-            raise RuntimeError("conversion count: closed form and minimal search disagree")
-        text = _render_blocks((*head, (peaks - h, valleys + h + t + 1)))
-    image = DyckPath(text)
-    if not member(q, PathClass.RESTRICTED, image):
-        raise RuntimeError(f"image fell outside the restricted family: {text!r}")
+def _phi_text(q: RationalParam, t: int, text: str) -> str:
+    """The image's text of the quasi member ``text``: h = the fewest peaks of
+    the final block turned into valleys, then t + 1 valleys added.  The
+    caller has checked that ``text`` is a quasi member."""
+    if not text:
+        return "UD" * (t + 1)
+    # UD has no blocks; it is read as the single block (0, 0)
+    *head, (peaks, valleys) = _scan_blocks(text) or ((0, 0),)
+    if valleys and peaks != q.r and valleys < _demand(q, peaks):
+        raise RuntimeError(f"unexpected final block {(peaks, valleys)} outside the restricted family")
+    h = _min_conversion(q, t, peaks, valleys)
+    if q.s == t * q.r + 1 and h != max(0, _ceil_div(peaks * t - valleys + 1, t + 1) - 1):
+        raise RuntimeError("conversion count: closed form and minimal search disagree")
+    return _render_blocks((*head, (peaks - h, valleys + h + t + 1)))
+
+
+def _phi_inv_text(q: RationalParam, t: int, text: str) -> str:
+    """The preimage's text of the restricted member ``text`` of semilength
+    >= t + 1: the t + 1 valleys stripped off the final block, which is packed
+    peaks first when that leaves it short of its demand.  The caller has
+    checked ``text``."""
+    if text == "UD" * (t + 1):
+        return ""
+    *head, (peaks, valleys) = _scan_blocks(text)
+    valleys -= t + 1
+    if valleys < _demand(q, peaks):
+        peaks, valleys = _peaks_first(q, peaks + valleys)
+    return _render_blocks((*head, (peaks, valleys)))
+
+
+def _apply(q: RationalParam, t: int, text: str) -> str:
+    """``_phi_text``, with the image checked to be a restricted member."""
+    image = _phi_text(q, t, text)
+    blocks = _scan_blocks(image)
+    if blocks is None or not _accepts(q, PathClass.RESTRICTED, blocks):
+        raise RuntimeError(f"image fell outside the restricted family: {image!r}")
     return image

@@ -16,9 +16,9 @@ import os
 import sys
 from collections.abc import Iterable
 
-from rdyck.bijection import check_bijection, collision_pair, phi, phi_inv
+from rdyck.bijection import _phi_inv_text, _phi_text, check_bijection, collision_pair, phi, phi_inv
 from rdyck.classes import PathClass, _member_blocks, _member_texts, member, oracle_generate
-from rdyck.compositions import comp_to_path, enumerate_compositions, path_to_comp
+from rdyck.compositions import _comp_text, _text_parts, comp_to_path, enumerate_compositions, path_to_comp
 from rdyck.core import DyckPath, RationalParam, _parse_int, semilength, valley_slope
 from rdyck.counting import (
     _series_texts,
@@ -249,15 +249,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     # n outermost: one oracle call sorts each semilength's candidates into all
     # three families, as step texts, and every check that needs a family at n
-    # reads the one tuple of texts built for it, in U<D order: generation and
-    # the intersection compare texts, and the maps build the only path
-    # objects.  A family is no longer checked against the oracle after its
-    # first failure, but is still built for the other checks; where the
-    # oracle disagrees, they take the oracle's texts, so that one fault of the
-    # generator fails one check.  One ordered pass proves each map:
-    # compositions of n - 1 onto the family of semilength n and, where
-    # s = t*r + 1, quasi at n - t - 1 onto restricted at n (each quasi tuple
-    # waits t + 1 semilengths for it).
+    # reads the one tuple of texts built for it, in U<D order: every check
+    # compares texts, and the maps run on them through their private cores,
+    # so no path object is built.  A family is no longer checked against the
+    # oracle after its first failure, but is still built for the other
+    # checks; where the oracle disagrees, they take the oracle's texts, so
+    # that one fault of the generator fails one check.  One ordered pass
+    # proves each map: compositions of n - 1 onto the family of semilength n
+    # and, where s = t*r + 1, quasi at n - t - 1 onto restricted at n (each
+    # quasi tuple waits t + 1 semilengths for it).
     generation = dict.fromkeys(PathClass, "")
     intersection = ""
     part_sets = {"unbounded": (False, PathClass.RATIONAL), "bounded": (True, PathClass.RESTRICTED)}
@@ -294,14 +294,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if n > t:
                 domain = waiting.pop(n - t - 1)
                 if not bijection:
-                    bijection = _bijection_fault(q, n - t - 1, domain, texts[PathClass.RESTRICTED])
+                    bijection = _bijection_fault(q, t, n - t - 1, domain, texts[PathClass.RESTRICTED])
     if nmax == 0:
         # the compositions of 0 are checked all the same, onto semilength 1
         for label, (finite, path_class) in part_sets.items():
             compositions[label] = _composition_fault(q, finite, 0, _member_texts(q, path_class, 1))
     if bijective and nmax <= t:
         # n = 0 is checked all the same, onto images past nmax
-        bijection = _bijection_fault(q, 0, waiting[0], _member_texts(q, PathClass.RESTRICTED, t + 1))
+        bijection = _bijection_fault(q, t, 0, waiting[0], _member_texts(q, PathClass.RESTRICTED, t + 1))
 
     for path_class, detail in generation.items():
         report(f"generation {path_class.value}", not detail, detail)
@@ -358,31 +358,36 @@ def _composition_fault(q: RationalParam, finite: bool, n: int, texts: tuple[str,
     ``texts``, the family of semilength n+1 in U<D order; empty when there is
     none.  ``comp_to_path`` reverses that order, so the pass pairs them from
     the end; each image in place and mapped back proves both maps bijective
-    and each the other's inverse.  The compositions are part tuples; a
-    faulty one is named in ``map``'s text format."""
+    and each the other's inverse.  The pass calls the maps' cores, with one
+    table of pieces and one of demands for all its compositions.  The
+    compositions are part tuples; a faulty one is named in ``map``'s text
+    format."""
     comps = enumerate_compositions(q, finite, n)
     if len(comps) != len(texts):
         return f"n={n} compositions={len(comps)} paths={len(texts)}"
+    pieces: dict[int, str] = {}
+    heads: dict[int, tuple[int, int]] = {}
     for comp, text in zip(comps, reversed(texts)):
-        path = comp_to_path(q, comp)
-        if path.steps != text:
+        if _comp_text(q, comp, pieces) != text:
             return f"n={n} composition={_composition_text(comp)}"
-        if path_to_comp(q, path) != comp:
+        if _text_parts(q, text, heads) != comp:
             return f"n={n} path={text}"
     return ""
 
 
-def _bijection_fault(q: RationalParam, n: int, domain: tuple[str, ...], codomain: tuple[str, ...]) -> str:
+def _bijection_fault(q: RationalParam, t: int, n: int, domain: tuple[str, ...], codomain: tuple[str, ...]) -> str:
     """The first fault of the quasi->restricted map from semilength ``n``, where
     ``domain`` and ``codomain`` are the texts of the quasi family at n and the
     restricted family at n + t + 1; empty when there is none.  ``phi`` keeps
     U<D order (see :mod:`rdyck.bijection`), so the pass pairs them by
-    position."""
+    position, and maps each through the cores of ``phi`` and ``phi_inv``:
+    the domain is the checked quasi family, and an image is mapped back only
+    once it equals its restricted member."""
     if len(domain) != len(codomain):
         return f"n={n} domain={len(domain)} codomain={len(codomain)}"
     for text, expected in zip(domain, codomain):
-        image = phi(q, DyckPath(text))
-        if image.steps != expected or phi_inv(q, image).steps != text:
+        image = _phi_text(q, t, text)
+        if image != expected or _phi_inv_text(q, t, image) != text:
             return f"n={n} path={text}"
     return ""
 

@@ -8,11 +8,21 @@ one-to-one with rational-family members of semilength n+1, and over the
 capped set with restricted-family members: the part 1 becomes the arch UD, a
 larger part of size p + ceil(ps/r) becomes the lead-in
 U(UD)^p(DU)^(ceil(ps/r)-1)D, and a final UD arch closes the path.
+
+Each map has a private core on step texts and part tuples: ``_comp_text``
+joins the parts' pieces, each written by the one formula ``_piece``, and
+``_text_parts`` reads the parts off the blocks.  Each takes a dict that the
+caller owns (the pieces, or each peak count's part and demand), so a caller
+that maps a whole family builds each piece and demand once, and nothing
+outlives the call.  ``comp_to_path`` and ``path_to_comp`` are thin
+wrappers that check their input and hand each core a fresh dict; ``rdyck
+verify`` calls the cores on the family's texts, so its check covers the code
+behind the public maps.  The pieces never come from the generator's own
+lead-ins (``classes._member_walk``), so the check compares two routes.
 """
 
 from __future__ import annotations
 
-from rdyck.classes import PathClass, _accepts
 from rdyck.core import DyckPath, RationalParam, _scan_blocks, min_valleys, part_size
 
 __all__ = ["comp_to_path", "enumerate_compositions", "path_to_comp"]
@@ -60,7 +70,7 @@ def enumerate_compositions(q: RationalParam, finite: bool, n: int) -> tuple[tupl
 def comp_to_path(q: RationalParam, parts: tuple[int, ...]) -> DyckPath:
     """Image of a composition of n: a rational-family member of semilength n+1.
 
-    Each part contributes its lead-in (part 1 the arch UD, a part of size
+    Each part contributes its piece (part 1 the arch UD, a part of size
     p + ceil(ps/r) the lead-in U(UD)^p(DU)^(ceil(ps/r)-1)D) and a final UD
     arch closes the path.  When every part lies in the capped part set the
     image is a restricted-family member.  Every part is checked to be a
@@ -70,16 +80,7 @@ def comp_to_path(q: RationalParam, parts: tuple[int, ...]) -> DyckPath:
         # bool is an int subclass, but True+2 is no composition
         if type(part) is not int or part < 1:
             raise ValueError(f"parts must be positive integers, got {part!r}")
-    pieces = []
-    for part in parts:
-        if part == 1:
-            pieces.append("UD")
-        else:
-            # _peaks_for has checked that part = peaks + ceil(peaks*s/r)
-            peaks = _peaks_for(q, part)
-            pieces.append("U" + "UD" * peaks + "DU" * (part - peaks - 1) + "D")
-    pieces.append("UD")
-    return DyckPath("".join(pieces))
+    return DyckPath(_comp_text(q, parts, {}))
 
 
 def path_to_comp(q: RationalParam, path: DyckPath) -> tuple[int, ...]:
@@ -93,14 +94,55 @@ def path_to_comp(q: RationalParam, path: DyckPath) -> tuple[int, ...]:
     """
     if not path.steps:
         raise ValueError("the empty path corresponds to no composition")
-    blocks = _scan_blocks(path.steps)
-    if blocks is None or not _accepts(q, PathClass.RATIONAL, blocks):
+    parts = _text_parts(q, path.steps, {})
+    if parts is None:
         raise ValueError(f"path is not a rational-family member for {q}: {path.steps!r}")
-    parts = []
+    return parts
+
+
+def _piece(q: RationalParam, part: int) -> str:
+    """The text of one part: the arch UD for 1, else the lead-in
+    U(UD)^p(DU)^(part-p-1)D of the p with part = p + ceil(ps/r)."""
+    if part == 1:
+        return "UD"
+    # _peaks_for has checked that part = peaks + ceil(peaks*s/r)
+    peaks = _peaks_for(q, part)
+    return "U" + "UD" * peaks + "DU" * (part - peaks - 1) + "D"
+
+
+def _comp_text(q: RationalParam, parts: tuple[int, ...], pieces: dict[int, str]) -> str:
+    """The step text of ``comp_to_path``'s image, with no check of the parts'
+    types.  ``pieces`` maps each part met so far to its ``_piece``; the
+    caller owns it, so one table serves a whole pass and outlives none."""
+    for part in parts:
+        if part not in pieces:
+            pieces[part] = _piece(q, part)
+    return "".join([pieces[part] for part in parts]) + "UD"
+
+
+def _text_parts(q: RationalParam, text: str, heads: dict[int, tuple[int, int]]) -> tuple[int, ...] | None:
+    """The composition whose image is ``text``, or None when ``text`` is not
+    a rational-family member.  ``heads`` maps each peak count met so far to
+    its part and valley demand; the caller owns it, like ``_comp_text``'s
+    pieces.
+
+    A block of p >= 1 peaks meets its demand when v >= ceil(ps/r), the
+    test ``classes._accepts`` makes for the rational family as v*r >= p*s.
+    """
+    blocks = _scan_blocks(text)
+    if blocks is None:
+        return None
+    parts: list[int] = []
     for peaks, valleys in blocks:
         if peaks:
-            demand = min_valleys(q, peaks)
-            parts.append(peaks + demand)
+            head = heads.get(peaks)
+            if head is None:
+                demand = min_valleys(q, peaks)
+                head = heads[peaks] = (peaks + demand, demand)
+            part, demand = head
+            if valleys < demand:
+                return None
+            parts.append(part)
             valleys -= demand
         parts.extend([1] * valleys)
     return tuple(parts)

@@ -11,6 +11,7 @@ import rdyck
 import rdyck.bijection
 import rdyck.classes
 import rdyck.cli
+import rdyck.compositions
 import rdyck.counting
 from rdyck import (
     DyckPath,
@@ -34,6 +35,30 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def patch_core(monkeypatch, module, name, fn):
+    """Replace a map's private core where it is defined, which is where its
+    public wrapper looks it up, and where verify imports it, after checking
+    that the two names hold one function."""
+    assert getattr(rdyck.cli, name) is getattr(module, name)
+    monkeypatch.setattr(module, name, fn)
+    monkeypatch.setattr(rdyck.cli, name, fn)
+
+
+def swapping_core(name):
+    """The composition core ``name`` with the compositions 1+4 and 4+1
+    swapped on its way in (``_comp_text``) or out (``_text_parts``)."""
+    real = getattr(rdyck.compositions, name)
+    swap = {(1, 4): (4, 1), (4, 1): (1, 4)}
+
+    def faulty(q, value, table):
+        if name == "_comp_text":
+            return real(q, swap.get(value, value), table)
+        comp = real(q, value, table)
+        return swap.get(comp, comp)
+
+    return faulty
 
 
 class TestMember:
@@ -564,7 +589,7 @@ class TestVerify:
     def test_round_trips_read_the_loop_families(self, capsys, monkeypatch, nmax, extra):
         # only the generation loop calls _member_texts; past it, only n = 0 when
         # nmax <= t, whose images lie past nmax (t = 2 at 1/3); the families
-        # are never built again through check_bijection
+        # are never built again, through check_bijection or otherwise
         calls = []
         rebuilt = []
 
@@ -576,7 +601,8 @@ class TestVerify:
             return call
 
         monkeypatch.setattr(rdyck.cli, "_member_texts", recorded(rdyck.cli._member_texts, calls))
-        monkeypatch.setattr(rdyck.bijection, "generate", recorded(rdyck.bijection.generate, rebuilt))
+        monkeypatch.setattr(rdyck.bijection, "_member_texts", recorded(rdyck.bijection._member_texts, rebuilt))
+        monkeypatch.setattr(rdyck.classes, "generate", recorded(rdyck.classes.generate, rebuilt))
         monkeypatch.setattr(rdyck.cli, "check_bijection", recorded(rdyck.cli.check_bijection, rebuilt))
         code, out, _ = invoke(capsys, "verify", "--q", "1/3", "--nmax", str(nmax))
         assert code == 0
@@ -605,40 +631,31 @@ class TestVerify:
         assert orders == [8]
 
     def test_round_trip_fault_names_its_path(self, capsys, monkeypatch):
-        # phi_inv goes wrong on one restricted path of semilength 7 at 3/4
-        # (t = 1), the image of one quasi path of semilength 5
-        real = rdyck.cli.phi_inv
-        wrong = DyckPath("UD" * 7)
+        # phi_inv's core goes wrong on one restricted path of semilength 7 at
+        # 3/4 (t = 1), the image of one quasi path of semilength 5
+        real = rdyck.bijection._phi_inv_text
+        wrong = "UD" * 7
 
-        def faulty(q, path):
-            return wrong if path.steps == "UUDUDDUDUDUDUD" else real(q, path)
+        def faulty(q, t, text):
+            return wrong if text == "UUDUDDUDUDUDUD" else real(q, t, text)
 
         assert rdyck.cli.phi(RationalParam(3, 4), DyckPath("UUDUDUDDUD")).steps == "UUDUDDUDUDUDUD"
-        monkeypatch.setattr(rdyck.cli, "phi_inv", faulty)
+        patch_core(monkeypatch, rdyck.bijection, "_phi_inv_text", faulty)
         code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
         assert code == 1
         assert out == VERIFY_3_4.replace("ok bijection", "FAIL bijection: n=5 path=UUDUDUDDUD")
 
     @pytest.mark.parametrize(
         "name,witness",
-        [("comp_to_path", "composition=1+4"), ("path_to_comp", "path=UDUUDUDDUDUD")],
+        [("_comp_text", "composition=1+4"), ("_text_parts", "path=UDUUDUDDUDUD")],
         ids=["comp_to_path", "path_to_comp"],
     )
     def test_composition_fault_names_its_witness(self, capsys, monkeypatch, name, witness):
-        # one map swaps the compositions 1+4 and 4+1 on its way in or out;
-        # both images stay rational members at 1/1, and the part 4 is outside
-        # the capped part set {1, 2}, so only the unbounded check meets them,
-        # and it stops at the first, 1+4, or its path UD UUDUDD UD UD
-        real = getattr(rdyck.cli, name)
-        swap = {(1, 4): (4, 1), (4, 1): (1, 4)}
-
-        def faulty(q, value):
-            if name == "comp_to_path":
-                return real(q, swap.get(value, value))
-            comp = real(q, value)
-            return swap.get(comp, comp)
-
-        monkeypatch.setattr(rdyck.cli, name, faulty)
+        # one map's core swaps the compositions 1+4 and 4+1 on its way in or
+        # out; both images stay rational members at 1/1, and the part 4 is
+        # outside the capped part set {1, 2}, so only the unbounded check
+        # meets them, and it stops at the first, 1+4, or its path UD UUDUDD UD UD
+        patch_core(monkeypatch, rdyck.compositions, name, swapping_core(name))
         code, out, _ = invoke(capsys, "verify", "--q", "1/1", "--nmax", "8")
         assert code == 1
         failure = f"FAIL compositions unbounded: n=5 {witness}"
@@ -648,17 +665,88 @@ class TestVerify:
     def test_nmax_zero_checks_the_compositions_of_zero(self, capsys, monkeypatch):
         # at nmax 0 the loop maps no composition; the compositions of 0 are
         # still checked onto the families of semilength 1
-        real = rdyck.cli.comp_to_path
+        real = rdyck.compositions._comp_text
 
-        def faulty(q, parts):
-            return DyckPath("UUDD") if parts == () else real(q, parts)
+        def faulty(q, parts, pieces):
+            return "UUDD" if parts == () else real(q, parts, pieces)
 
-        monkeypatch.setattr(rdyck.cli, "comp_to_path", faulty)
+        patch_core(monkeypatch, rdyck.compositions, "_comp_text", faulty)
         code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "0")
         assert code == 1
         assert "FAIL compositions unbounded: n=0 composition=0" in out.splitlines()
         assert "FAIL compositions bounded: n=0 composition=0" in out.splitlines()
         assert out.count("FAIL") == 2
+
+    @pytest.mark.parametrize(
+        "name,direction,value,right,wrong",
+        [
+            ("_comp_text", "comp2path", "1+4", "UDUUDUDDUDUD", "UUDUDDUDUDUD"),
+            ("_text_parts", "path2comp", "UDUUDUDDUDUD", "1+4", "4+1"),
+        ],
+        ids=["comp_to_path", "path_to_comp"],
+    )
+    def test_one_composition_core_behind_map_and_verify(self, capsys, monkeypatch, name, direction, value, right, wrong):
+        # a wrong core shows in the public command and in verify alike, so
+        # verify's check covers the code that map runs
+        argv = ("map", direction, "--q", "1/1", value)
+        assert invoke(capsys, *argv) == (0, f"{right}\n", "")
+        patch_core(monkeypatch, rdyck.compositions, name, swapping_core(name))
+        assert invoke(capsys, *argv) == (0, f"{wrong}\n", "")
+        code, out, _ = invoke(capsys, "verify", "--q", "1/1", "--nmax", "8")
+        assert code == 1
+        witness = "composition=1+4" if name == "_comp_text" else "path=UDUUDUDDUDUD"
+        assert f"FAIL compositions unbounded: n=5 {witness}" in out.splitlines()
+
+    @pytest.mark.parametrize(
+        "name,command,value,right",
+        [
+            ("_phi_text", "phi", "UUDUDUDDUD", "UUDUDDUDUDUDUD"),
+            ("_phi_inv_text", "phi-inv", "UUDUDDUDUDUDUD", "UUDUDUDDUD"),
+        ],
+        ids=["phi", "phi_inv"],
+    )
+    def test_one_phi_core_behind_the_command_and_verify(self, capsys, monkeypatch, name, command, value, right):
+        # at 3/4 (t = 1) the core sends one text to (UD)^7, a member of every
+        # family, so the public wrapper's own checks let the wrong text out
+        real = getattr(rdyck.bijection, name)
+
+        def faulty(q, t, text):
+            return "UD" * 7 if text == value else real(q, t, text)
+
+        argv = (command, "--q", "3/4", value)
+        assert invoke(capsys, *argv) == (0, f"{right}\n", "")
+        patch_core(monkeypatch, rdyck.bijection, name, faulty)
+        assert invoke(capsys, *argv) == (0, f"{'UD' * 7}\n", "")
+        code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
+        assert code == 1
+        assert out == VERIFY_3_4.replace("ok bijection", "FAIL bijection: n=5 path=UUDUDUDDUD")
+
+    @pytest.mark.parametrize("qtext,most", [("3/4", 0), ("3/2", 2)], ids=["3/4", "3/2"])
+    def test_map_checks_build_no_path_objects(self, capsys, monkeypatch, qtext, most):
+        # the maps run on texts through their cores: the only path objects
+        # and member calls are collision_pair's, for its two paths (3/2 has
+        # no valley slope), where the map checks once built thousands
+        built = []
+        init = DyckPath.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        members = []
+        real_member = rdyck.classes.member
+
+        def counted_member(*args):
+            members.append(args)
+            return real_member(*args)
+
+        monkeypatch.setattr(DyckPath, "__init__", counted_init)
+        for module in (rdyck.classes, rdyck.bijection, rdyck.cli):
+            monkeypatch.setattr(module, "member", counted_member)
+        code, out, _ = invoke(capsys, "verify", "--q", qtext, "--nmax", "12")
+        assert code == 0
+        assert len(built) <= most
+        assert len(members) <= most
 
     @pytest.mark.parametrize("qtext", ["3/4", "1/2", "3/2"])
     def test_passes(self, capsys, qtext):

@@ -57,8 +57,24 @@ class TestPublicNames:
         assert not hasattr(rdyck, name)
 
 
-def test_no_module_keeps_a_cache():
-    # nothing is kept between calls: no function of the library is an lru_cache
-    for module in (*SUBMODULES, rdyck.cli):
+def test_no_module_keeps_a_cache(capsys):
+    # nothing is kept between calls: no function of the library is an
+    # lru_cache, and no module-level dict, list or set grows during a verify
+    # run, so a table such as the maps' pieces lives for one call only
+    modules = (rdyck, *SUBMODULES, rdyck.cli)
+    for module in modules:
         for name, value in vars(module).items():
             assert not hasattr(value, "cache_info"), f"{module.__name__}.{name}"
+
+    def sizes():
+        return {
+            f"{module.__name__}.{name}": len(value)
+            for module in modules
+            for name, value in vars(module).items()
+            if name != "__builtins__" and isinstance(value, (dict, list, set))
+        }
+
+    before = sizes()
+    assert run(["verify", "--q", "3/4", "--nmax", "8"]) == 0
+    capsys.readouterr()
+    assert sizes() == before

@@ -45,13 +45,13 @@ comparing every image with the generated restricted family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from rdyck.classes import PathClass, _accepts, _member_texts, member
 from rdyck.core import (
     DyckPath,
     RationalParam,
+    _Frozen,
     _render_blocks,
     _scan_blocks,
     min_valleys,
@@ -68,18 +68,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhiReport:
+class PhiReport(_Frozen):
     """Outcome of applying the map to every quasi member of one semilength."""
 
-    q: RationalParam
-    n: int
-    t: int
-    injective: bool
-    surjective: bool
-    card_domain: int
-    card_codomain: int
-    collisions: tuple[tuple[DyckPath, DyckPath], ...]
+    __slots__ = __match_args__ = (
+        "q", "n", "t", "injective", "surjective", "card_domain", "card_codomain", "collisions"
+    )
+
+    def __init__(
+        self,
+        q: RationalParam,
+        n: int,
+        t: int,
+        injective: bool,
+        surjective: bool,
+        card_domain: int,
+        card_codomain: int,
+        collisions: tuple[tuple[DyckPath, DyckPath], ...],
+    ) -> None:
+        fields = (q, n, t, injective, surjective, card_domain, card_codomain, collisions)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
 
 def phi(q: RationalParam, path: DyckPath) -> DyckPath:

@@ -11,7 +11,6 @@ RDYCK_MAX_N that is not a non-negative integer, whatever the command).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable
@@ -120,7 +119,8 @@ def _print_counts(fmt: str, texts: dict[str, Iterable[str]]) -> None:
             keyed = len(texts) > 1
             write("{" if keyed else "")
             for i, (method, values) in enumerate(texts.items()):
-                key = f"{json.dumps(method)}: " if keyed else ""
+                # a method name is plain ASCII, so its JSON string is the name in quotes
+                key = f'"{method}": ' if keyed else ""
                 write(f"{', ' if i else ''}{key}[")
                 write_joined(values, ", ")
                 write("]")

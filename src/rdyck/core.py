@@ -24,13 +24,22 @@ block view, together with a coprime pair r/s (:class:`RationalParam`) and its
 derived quantities: a run of p peaks demands at least ceil(p*s/r) valleys
 after it (:func:`min_valleys`), and a run plus its minimal valleys occupies
 :func:`part_size` units of semilength.
+
+The package's value classes (:class:`DyckPath`, :class:`RationalParam`,
+``RationalSeries`` and ``PhiReport``) are plain ``__slots__`` classes on the
+private base ``_Frozen``, which gives them the equality, hash, repr,
+immutability and copy/pickle support of a frozen dataclass.  They are
+written by hand for start-up time: most CLI calls are short, and importing
+``dataclasses`` (which pulls in ``inspect``, ``ast``, ``dis`` and more) and
+generating each class's methods cost about 20 ms of every launch, about 40%
+of importing ``rdyck.cli``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 
 __all__ = [
     "DyckPath",
@@ -48,8 +57,47 @@ _SWAP_STEPS = str.maketrans("UD", "DU")
 _BLOCK = re.compile("(U*)(D*)")
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class _Frozen:
+    """Base of the immutable value classes.
+
+    Each subclass names its fields in ``__slots__`` and ``__match_args__``
+    and sets each once, in ``__init__``, through ``object.__setattr__``.
+    Instances compare equal only to instances of the same class with equal
+    fields, hash their fields, print as ``Name(field=value, ...)``, refuse
+    assignment and deletion, and copy and pickle by calling the class again
+    on their fields, which re-runs its validation.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # reads the fields in C, for == and hash: their tuple, or the value
+        # of a single field
+        cls._get = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._get(self) == other._get(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._get(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+
+class DyckPath(_Frozen):
     """A validated Dyck path, stored as its text over the alphabet {U, D}.
 
     Deleting every UD twice empties the text exactly when it is a path of
@@ -59,23 +107,24 @@ class DyckPath:
     checked at once by ``_low_paths`` instead.)
     """
 
-    steps: str = ""
+    __slots__ = __match_args__ = ("steps",)
 
-    def __post_init__(self) -> None:
-        if not self.steps.replace("UD", "").replace("UD", ""):
+    def __init__(self, steps: str = "") -> None:
+        object.__setattr__(self, "steps", steps)
+        if not steps.replace("UD", "").replace("UD", ""):
             return
         level = 0
-        for ch in self.steps:
+        for ch in steps:
             if ch == "U":
                 level += 1
             elif ch == "D":
                 level -= 1
                 if level < 0:
-                    raise ValueError(f"path dips below the x-axis: {self.steps!r}")
+                    raise ValueError(f"path dips below the x-axis: {steps!r}")
             else:
                 raise ValueError(f"invalid step {ch!r}; expected 'U' or 'D'")
         if level:
-            raise ValueError(f"unbalanced path ({level} unmatched up steps): {self.steps!r}")
+            raise ValueError(f"unbalanced path ({level} unmatched up steps): {steps!r}")
 
     def __str__(self) -> str:
         return self.steps
@@ -129,25 +178,25 @@ def _parse_int(text: str) -> int | None:
     return int(text) if digits.isascii() and digits.isdigit() else None
 
 
-@dataclass(frozen=True)
-class RationalParam:
+class RationalParam(_Frozen):
     """A positive rational r/s in lowest terms; the parameter of every family here.
 
     Reduction is not done silently: r itself bounds peak-run lengths and sets
     prefix sizes, so 2/4 and 1/2 would describe different families.
     """
 
-    r: int
-    s: int
+    __slots__ = __match_args__ = ("r", "s")
 
-    def __post_init__(self) -> None:
+    def __init__(self, r: int, s: int) -> None:
         # bool is an int subclass, but True/2 is no parameter
-        if type(self.r) is not int or type(self.s) is not int:
+        if type(r) is not int or type(s) is not int:
             raise ValueError("r and s must be integers")
-        if self.r < 1 or self.s < 1:
-            raise ValueError(f"r and s must be positive, got {self.r}/{self.s}")
-        if math.gcd(self.r, self.s) != 1:
-            raise ValueError(f"r/s must be in lowest terms, got {self.r}/{self.s}")
+        if r < 1 or s < 1:
+            raise ValueError(f"r and s must be positive, got {r}/{s}")
+        if math.gcd(r, s) != 1:
+            raise ValueError(f"r/s must be in lowest terms, got {r}/{s}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
 
     @classmethod
     def from_string(cls, text: str) -> "RationalParam":

@@ -35,12 +35,11 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul, sub
 
 from rdyck.classes import PathClass, _member_blocks
-from rdyck.core import RationalParam, part_size
+from rdyck.core import RationalParam, _Frozen, part_size
 
 __all__ = [
     "RationalSeries",
@@ -57,8 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RationalSeries:
+class RationalSeries(_Frozen):
     """numerator/denominator viewed as a formal power series.
 
     Each side is a tuple of integer coefficients indexed by exponent, with
@@ -66,14 +64,14 @@ class RationalSeries:
     denominator's constant term must be 1 so the expansion is defined.
     """
 
-    numerator: tuple[int, ...]
-    denominator: tuple[int, ...]
+    __slots__ = __match_args__ = ("numerator", "denominator")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "numerator", _strip(self.numerator))
-        object.__setattr__(self, "denominator", _strip(self.denominator))
-        if self.denominator[:1] != (1,):
+    def __init__(self, numerator: Iterable[int], denominator: Iterable[int]) -> None:
+        numerator, denominator = _strip(numerator), _strip(denominator)
+        if denominator[:1] != (1,):
             raise ValueError("denominator constant term must be 1 for series expansion")
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
 
 def _strip(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -287,7 +285,9 @@ def count_recurrence(q: RationalParam, path_class: PathClass, order: int) -> tup
             total += 1
         if below < len(exponents) and exponents[below] < n:
             below += 1
-        total += sum(values[n - e] for e in exponents[:below])
+        # the largest exponents first, so the smallest values: the partial
+        # sums stay short until the last few terms
+        total += sum(values[n - e] for e in reversed(exponents[:below]))
         values.append(total)
     return tuple(values)
 

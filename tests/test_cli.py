@@ -226,15 +226,16 @@ class TestCount:
         assert json.loads(out) == [1, 1, 2, 3, 5, 8, 13]
 
     def test_all_methods_json(self, capsys):
-        code, out, _ = invoke(
-            capsys,
-            "count", "--class", "rt", "--q", "2/3", "--nmax", "7",
-            "--all-methods", "--format", "json",
-        )
-        assert code == 0
-        data = json.loads(out)
-        assert set(data) == {"enumeration", "recurrence", "series"}
-        assert data["enumeration"] == data["recurrence"] == data["series"]
+        # the bytes json.dumps writes, method names and separators included
+        for path_class, q, nmax in ((PathClass.RESTRICTED, "2/3", 7), (PathClass.QUASI, "1/1", 6)):
+            code, out, _ = invoke(
+                capsys,
+                "count", "--class", path_class.value, "--q", q, "--nmax", str(nmax),
+                "--all-methods", "--format", "json",
+            )
+            assert code == 0
+            values = list(count_recurrence(RationalParam.from_string(q), path_class, nmax))
+            assert out == json.dumps({"enumeration": values, "recurrence": values, "series": values}) + "\n"
 
 
 class TestSeries:
@@ -379,6 +380,21 @@ def test_runs_as_module():
         capture_output=True, text=True, env=module_env(), timeout=60,
     )
     assert (done.returncode, done.stdout) == (0, "true\n")
+
+
+def test_cli_imports_no_heavy_modules():
+    # every launch imports rdyck.cli; dataclasses (with inspect, ast, dis and
+    # tokenize) and json would add to each launch's start-up.  The modules
+    # the interpreter's site hooks import vary by machine, so only the
+    # modules that importing rdyck.cli adds are checked.
+    probe = "import sys; before = set(sys.modules); import rdyck.cli; print(*sorted(set(sys.modules) - before))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=module_env(), timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "rdyck.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 from itertools import product
 
@@ -7,7 +9,9 @@ import pytest
 from rdyck import (
     EMPTY_PATH,
     DyckPath,
+    PhiReport,
     RationalParam,
+    RationalSeries,
     defactorize,
     factorize,
     min_valleys,
@@ -235,7 +239,53 @@ class TestDerivedQuantities:
 
 
 def test_paths_are_immutable_and_hashable():
+    # the value semantics of all four value classes, those a frozen
+    # dataclass has: repr, equality within one class only, hash, no
+    # assignment or deletion, copy and pickle, keywords, defaults and match
     p = DyckPath("UUDD")
     assert {p, DyckPath("UUDD")} == {p}
     with pytest.raises(AttributeError):
         p.steps = "UD"
+    pair = (DyckPath("UUDD"), DyckPath("UDUD"))
+    values = {
+        "DyckPath(steps='UUDD')": (p, DyckPath(steps="UUDD")),
+        "RationalParam(r=3, s=4)": (RationalParam(3, 4), RationalParam(r=3, s=4)),
+        "RationalSeries(numerator=(1, 2), denominator=(1, -1))": (
+            RationalSeries([1, 2, 0], (1, -1)),
+            RationalSeries(numerator=(1, 2), denominator=[1, -1, 0, 0]),
+        ),
+        "PhiReport(q=RationalParam(r=3, s=2), n=2, t=0, injective=False, surjective=True,"
+        " card_domain=2, card_codomain=1, collisions=((DyckPath(steps='UUDD'), DyckPath(steps='UDUD')),))": (
+            PhiReport(RationalParam(3, 2), 2, 0, False, True, 2, 1, (pair,)),
+            PhiReport(
+                q=RationalParam(3, 2),
+                n=2,
+                t=0,
+                injective=False,
+                surjective=True,
+                card_domain=2,
+                card_codomain=1,
+                collisions=(pair,),
+            ),
+        ),
+    }
+    for text, (value, keyword) in values.items():
+        assert repr(value) == text
+        assert value == keyword and hash(value) == hash(keyword)
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(copied) is type(value) and copied == value and hash(copied) == hash(value)
+        field = text[text.index("(") + 1 : text.index("=")]
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert repr(value) == text
+    assert DyckPath("UD") != "UD" and DyckPath("UD") != RationalSeries((), (1,))
+    assert RationalParam(1, 2) != (1, 2)
+    assert DyckPath() == EMPTY_PATH
+    match RationalParam(3, 4):
+        case RationalParam(r, s):
+            assert (r, s) == (3, 4)
+    match p:
+        case DyckPath(steps):
+            assert steps == "UUDD"

@@ -39,8 +39,9 @@ the map's two self-checks (the final block it expects, and the closed form
 for h against the minimal search); ``_apply`` adds the check that the image
 is restricted.  :func:`phi` and :func:`phi_inv` are thin wrappers that test
 membership and wrap the result in a path, :func:`check_bijection` maps the
-family's texts through ``_apply``, and ``rdyck verify`` calls both cores,
-comparing every image with the generated restricted family.
+family's texts through ``_apply``, and ``rdyck verify`` calls both cores on
+the oracle's quasi family, comparing every image with the oracle's
+restricted family.
 """
 
 from __future__ import annotations

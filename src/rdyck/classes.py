@@ -30,8 +30,8 @@ them as one block of text joined by newlines.
 The walk has one caller, ``_member_blocks``, which checks each block as a
 whole by ``core._low_paths`` in a fixed number of string operations, so every
 member is validated.  ``enumerate`` and ``count_enumeration`` stream the
-blocks, ``verify`` and ``check_bijection`` take one semilength's texts
-(``_member_texts``), and only ``generate``, which the library itself no
+blocks, ``verify``'s generation check and ``check_bijection`` take one
+semilength's texts (``_member_texts``), and only ``generate``, which the library itself no
 longer calls, builds a ``DyckPath`` per member.
 
 ``oracle_generate`` gives the brute-force route used to differential-test

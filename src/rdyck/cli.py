@@ -237,76 +237,67 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _ensure_cap(args, args.nmax)
     q = _q(args)
     nmax = args.nmax
-    failures = 0
-
-    def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if ok:
-            print(f"ok {name}")
-        else:
-            failures += 1
-            print(f"FAIL {name}: {detail}")
-
-    # n outermost: one oracle call sorts each semilength's candidates into all
-    # three families, as step texts, and every check that needs a family at n
-    # reads the one tuple of texts built for it, in U<D order: every check
-    # compares texts, and the maps run on them through their private cores,
-    # so no path object is built.  A family is no longer checked against the
-    # oracle after its first failure, but is still built for the other
-    # checks; where the oracle disagrees, they take the oracle's texts, so
-    # that one fault of the generator fails one check.  One ordered pass
-    # proves each map: compositions of n - 1 onto the family of semilength n
-    # and, where s = t*r + 1, quasi at n - t - 1 onto restricted at n (each
-    # quasi tuple waits t + 1 semilengths for it).
-    generation = dict.fromkeys(PathClass, "")
-    intersection = ""
-    part_sets = {"unbounded": (False, PathClass.RATIONAL), "bounded": (True, PathClass.RESTRICTED)}
-    compositions = dict.fromkeys(part_sets, "")
     t = (q.s - 1) // q.r
     bijective = valley_slope(q) is not None
-    bijection = ""
+    part_sets = {
+        "compositions unbounded": (False, PathClass.RATIONAL),
+        "compositions bounded": (True, PathClass.RESTRICTED),
+    }
+    # each check's first fault, "" while it holds, in the order printed
+    faults = dict.fromkeys(
+        [f"{check} {path_class.value}" for path_class in PathClass for check in ("generation", "counts")]
+        + ["intersection", *part_sets, "bijection" if bijective else "collisions"],
+        "",
+    )
+    # n outermost: one oracle call sorts each semilength's candidates into all
+    # three families, as step texts in U<D order, and every check reads those
+    # tuples.  The generator is compared with them until the family's first
+    # fault, and is not built again after it; the oracle's sizes are the
+    # enumeration counts.  The maps run on the texts through their private
+    # cores, so no path object is built.  One ordered pass proves each map:
+    # compositions of n - 1 onto the family of semilength n and, where
+    # s = t*r + 1, quasi at n - t - 1 onto restricted at n (each quasi tuple
+    # waits t + 1 semilengths for it).
+    sizes: dict[PathClass, list[int]] = {path_class: [] for path_class in PathClass}
     waiting: dict[int, tuple[str, ...]] = {}
     for n in range(nmax + 1):
         # n by keyword, which perfbench/spans.py reads as the semilength
         oracle = oracle_generate(q, n=n)
-        texts = {}
-        for path_class, detail in generation.items():
-            texts[path_class] = steps = _member_texts(q, path_class, n)
-            if detail:
+        for path_class, checked in oracle.items():
+            sizes[path_class].append(len(checked))
+            name = f"generation {path_class.value}"
+            if faults[name]:
                 continue
-            checked = oracle[path_class]
-            if steps != checked:
-                built_set, checked_set = set(steps), set(checked)
+            built = _member_texts(q, path_class, n)
+            if built != checked:
+                built_set, checked_set = set(built), set(checked)
                 missing = [text for text in checked if text not in built_set]
-                extra = [text for text in steps if text not in checked_set]
-                generation[path_class] = f"n={n} missing={missing} extra={extra}"
-                texts[path_class] = checked
-        if not intersection:
-            meet = set(texts[PathClass.RATIONAL]).intersection(texts[PathClass.QUASI])
-            expected = set(texts[PathClass.RESTRICTED])
+                extra = [text for text in built if text not in checked_set]
+                faults[name] = f"n={n} missing={missing} extra={extra}"
+        if not faults["intersection"]:
+            meet = set(oracle[PathClass.RATIONAL]).intersection(oracle[PathClass.QUASI])
+            expected = set(oracle[PathClass.RESTRICTED])
             if meet != expected:
-                intersection = f"n={n} witnesses={sorted(meet ^ expected)}"
-        for label, (finite, path_class) in part_sets.items():
-            if n and not compositions[label]:
-                compositions[label] = _composition_fault(q, finite, n - 1, texts[path_class])
+                faults["intersection"] = f"n={n} witnesses={sorted(meet ^ expected)}"
+        for name, (finite, path_class) in part_sets.items():
+            if n and not faults[name]:
+                faults[name] = _composition_fault(q, finite, n - 1, oracle[path_class])
         if bijective:
-            waiting[n] = texts[PathClass.QUASI]
+            waiting[n] = oracle[PathClass.QUASI]
             if n > t:
                 domain = waiting.pop(n - t - 1)
-                if not bijection:
-                    bijection = _bijection_fault(q, t, n - t - 1, domain, texts[PathClass.RESTRICTED])
+                if not faults["bijection"]:
+                    faults["bijection"] = _bijection_fault(q, t, n - t - 1, domain, oracle[PathClass.RESTRICTED])
     if nmax == 0:
         # the compositions of 0 are checked all the same, onto semilength 1
-        for label, (finite, path_class) in part_sets.items():
-            compositions[label] = _composition_fault(q, finite, 0, _member_texts(q, path_class, 1))
+        for name, (finite, path_class) in part_sets.items():
+            faults[name] = _composition_fault(q, finite, 0, _member_texts(q, path_class, 1))
     if bijective and nmax <= t:
         # n = 0 is checked all the same, onto images past nmax
-        bijection = _bijection_fault(q, t, 0, waiting[0], _member_texts(q, PathClass.RESTRICTED, t + 1))
+        faults["bijection"] = _bijection_fault(q, t, 0, waiting[0], _member_texts(q, PathClass.RESTRICTED, t + 1))
 
-    for path_class, detail in generation.items():
-        report(f"generation {path_class.value}", not detail, detail)
-
-        enum = count_enumeration(q, path_class, nmax)
+    for path_class in PathClass:
+        enum = tuple(sizes[path_class])
         rec = count_recurrence(q, path_class, nmax)
         ser = series_coeffs(class_gf(q, path_class), nmax)
         agree = enum == rec == ser
@@ -320,15 +311,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if not check_sum_identity(q, max(nmax, 1)):
                 agree = False
                 routes += " sum_identity=false"
-        report(f"counts {path_class.value}", agree, routes)
+        if not agree:
+            faults[f"counts {path_class.value}"] = routes
 
-    report("intersection", not intersection, intersection)
-    for label, detail in compositions.items():
-        report(f"compositions {label}", not detail, detail)
-
-    if bijective:
-        report("bijection", not bijection, bijection)
-    else:
+    if not bijective:
         try:
             left, right = collision_pair(q)
             pair_detail = f"pair {left.steps} {right.steps} does not shift the counts"
@@ -343,9 +329,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         quasi_counts = count_recurrence(q, PathClass.QUASI, bound)
         restricted_counts = count_recurrence(q, PathClass.RESTRICTED, bound + t + 1)
         differs = any(quasi_counts[n] != restricted_counts[n + t + 1] for n in range(bound + 1))
-        report("collisions", differs and pair_ok, pair_detail)
+        if not (differs and pair_ok):
+            faults["collisions"] = pair_detail
 
-    return 1 if failures else 0
+    for name, fault in faults.items():
+        print(f"FAIL {name}: {fault}" if fault else f"ok {name}")
+    return 1 if any(faults.values()) else 0
 
 
 def _line(counts: tuple[int, ...]) -> str:
@@ -359,30 +348,28 @@ def _composition_fault(q: RationalParam, finite: bool, n: int, texts: tuple[str,
     none.  ``comp_to_path`` reverses that order, so the pass pairs them from
     the end; each image in place and mapped back proves both maps bijective
     and each the other's inverse.  The pass calls the maps' cores, with one
-    table of pieces and one of demands for all its compositions.  The
-    compositions are part tuples; a faulty one is named in ``map``'s text
-    format."""
+    table of pieces for all its compositions.  The compositions are part
+    tuples; a faulty one is named in ``map``'s text format."""
     comps = enumerate_compositions(q, finite, n)
     if len(comps) != len(texts):
         return f"n={n} compositions={len(comps)} paths={len(texts)}"
     pieces: dict[int, str] = {}
-    heads: dict[int, tuple[int, int]] = {}
     for comp, text in zip(comps, reversed(texts)):
         if _comp_text(q, comp, pieces) != text:
             return f"n={n} composition={_composition_text(comp)}"
-        if _text_parts(q, text, heads) != comp:
+        if _text_parts(q, text) != comp:
             return f"n={n} path={text}"
     return ""
 
 
 def _bijection_fault(q: RationalParam, t: int, n: int, domain: tuple[str, ...], codomain: tuple[str, ...]) -> str:
     """The first fault of the quasi->restricted map from semilength ``n``, where
-    ``domain`` and ``codomain`` are the texts of the quasi family at n and the
-    restricted family at n + t + 1; empty when there is none.  ``phi`` keeps
-    U<D order (see :mod:`rdyck.bijection`), so the pass pairs them by
-    position, and maps each through the cores of ``phi`` and ``phi_inv``:
-    the domain is the checked quasi family, and an image is mapped back only
-    once it equals its restricted member."""
+    ``domain`` and ``codomain`` are the oracle's texts of the quasi family at
+    n and the restricted family at n + t + 1; empty when there is none.
+    ``phi`` keeps U<D order (see :mod:`rdyck.bijection`), so the pass pairs
+    them by position, and maps each through the cores of ``phi`` and
+    ``phi_inv``: an image is mapped back only once it equals its restricted
+    member."""
     if len(domain) != len(codomain):
         return f"n={n} domain={len(domain)} codomain={len(codomain)}"
     for text, expected in zip(domain, codomain):

@@ -11,14 +11,15 @@ U(UD)^p(DU)^(ceil(ps/r)-1)D, and a final UD arch closes the path.
 
 Each map has a private core on step texts and part tuples: ``_comp_text``
 joins the parts' pieces, each written by the one formula ``_piece``, and
-``_text_parts`` reads the parts off the blocks.  Each takes a dict that the
-caller owns (the pieces, or each peak count's part and demand), so a caller
-that maps a whole family builds each piece and demand once, and nothing
-outlives the call.  ``comp_to_path`` and ``path_to_comp`` are thin
-wrappers that check their input and hand each core a fresh dict; ``rdyck
-verify`` calls the cores on the family's texts, so its check covers the code
-behind the public maps.  The pieces never come from the generator's own
-lead-ins (``classes._member_walk``), so the check compares two routes.
+``_text_parts`` reads the parts off the blocks, each block's demand from
+``core.min_valleys``.  ``_comp_text`` takes a dict of pieces that the caller
+owns, so a caller that maps a whole family writes each piece once, and
+nothing outlives the call.  ``comp_to_path`` and ``path_to_comp`` are thin
+wrappers that check their input and call the cores; ``rdyck verify`` calls
+the cores on the oracle's texts of each family, so its check covers the
+code behind the public maps.  The pieces never come from the generator's
+own lead-ins (``classes._member_walk``), and the texts come from the
+oracle's search, so the check compares independent routes.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def path_to_comp(q: RationalParam, path: DyckPath) -> tuple[int, ...]:
     """
     if not path.steps:
         raise ValueError("the empty path corresponds to no composition")
-    parts = _text_parts(q, path.steps, {})
+    parts = _text_parts(q, path.steps)
     if parts is None:
         raise ValueError(f"path is not a rational-family member for {q}: {path.steps!r}")
     return parts
@@ -120,11 +121,9 @@ def _comp_text(q: RationalParam, parts: tuple[int, ...], pieces: dict[int, str])
     return "".join([pieces[part] for part in parts]) + "UD"
 
 
-def _text_parts(q: RationalParam, text: str, heads: dict[int, tuple[int, int]]) -> tuple[int, ...] | None:
+def _text_parts(q: RationalParam, text: str) -> tuple[int, ...] | None:
     """The composition whose image is ``text``, or None when ``text`` is not
-    a rational-family member.  ``heads`` maps each peak count met so far to
-    its part and valley demand; the caller owns it, like ``_comp_text``'s
-    pieces.
+    a rational-family member.
 
     A block of p >= 1 peaks meets its demand when v >= ceil(ps/r), the
     test ``classes._accepts`` makes for the rational family as v*r >= p*s.
@@ -135,14 +134,10 @@ def _text_parts(q: RationalParam, text: str, heads: dict[int, tuple[int, int]]) 
     parts: list[int] = []
     for peaks, valleys in blocks:
         if peaks:
-            head = heads.get(peaks)
-            if head is None:
-                demand = min_valleys(q, peaks)
-                head = heads[peaks] = (peaks + demand, demand)
-            part, demand = head
+            demand = min_valleys(q, peaks)
             if valleys < demand:
                 return None
-            parts.append(part)
+            parts.append(peaks + demand)
             valleys -= demand
         parts.extend([1] * valleys)
     return tuple(parts)

@@ -52,10 +52,10 @@ def swapping_core(name):
     real = getattr(rdyck.compositions, name)
     swap = {(1, 4): (4, 1), (4, 1): (1, 4)}
 
-    def faulty(q, value, table):
+    def faulty(q, value, *pieces):
         if name == "_comp_text":
-            return real(q, swap.get(value, value), table)
-        comp = real(q, value, table)
+            return real(q, swap.get(value, value), *pieces)
+        comp = real(q, value)
         return swap.get(comp, comp)
 
     return faulty
@@ -518,9 +518,9 @@ class TestVerify:
         assert invoke(capsys, "verify", "--q", qtext, "--nmax", "8") == (0, expected, "")
 
     def test_generation_failure_is_reported_once(self, capsys, monkeypatch):
-        # drop one text from the first restricted n=3 generation only: that call
-        # is the generation check's, which runs before the intersection and
-        # composition checks ask for the same texts
+        # drop one text from the first restricted n=3 generation only: every
+        # other check reads the oracle's texts, so only the generation check
+        # sees it
         real = rdyck.cli._member_texts
         dropped = []
 
@@ -551,8 +551,8 @@ class TestVerify:
     def test_generation_extra_is_reported(self, capsys, monkeypatch):
         # the generator yields one text the oracle lacks at quasi n=4: the
         # path climbs to level three, so no family has it; it is named as
-        # extra, and every later check, which reads the oracle's members in
-        # its place, still passes
+        # extra, and every other check, which reads the oracle's members,
+        # still passes
         real = rdyck.cli._member_texts
 
         def padded(q, path_class, n):
@@ -568,10 +568,11 @@ class TestVerify:
 
     def test_intersection_reads_the_checked_families(self, capsys, monkeypatch):
         # the generator and the oracle each lose the same restricted path at
-        # their one call for n=3, the generation check's, so that check passes;
+        # their one call for n=3, so the generation check passes; the
+        # restricted counts (whose enumeration row is the oracle's sizes),
         # the intersection check, the bounded composition check (at
         # compositions of 2) and the bijection check (from quasi n=1, t = 1)
-        # read the same tuples, and see it
+        # read the oracle's tuples, and see it
         real_texts, real_oracle = rdyck.cli._member_texts, rdyck.cli.oracle_generate
         lost = []
 
@@ -595,9 +596,11 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
         assert code == 1
         failure = f"FAIL intersection: n=3 witnesses={lost}"
+        rows = "enumeration=1,1,1,0,2,3,5,8,13 recurrence={0} series={0}".format("1,1,1,1,2,3,5,8,13")
         composition_failure = "FAIL compositions bounded: n=2 compositions=1 paths=0"
         bijection_failure = "FAIL bijection: n=1 domain=1 codomain=0"
-        expected = VERIFY_3_4.replace("ok intersection", failure)
+        expected = VERIFY_3_4.replace("ok counts restricted", f"FAIL counts restricted: {rows}")
+        expected = expected.replace("ok intersection", failure)
         expected = expected.replace("ok compositions bounded", composition_failure)
         assert out == expected.replace("ok bijection", bijection_failure)
 
@@ -625,6 +628,43 @@ class TestVerify:
         assert out.splitlines()[-1] == "ok bijection"
         assert calls == [(path_class, n) for n in range(nmax + 1) for path_class in PathClass] + extra
         assert rebuilt == []
+
+    @pytest.mark.parametrize("qtext,expected", [("3/4", VERIFY_3_4), ("3/2", VERIFY_3_2)], ids=["3/4", "3/2"])
+    def test_each_family_is_walked_once_per_semilength(self, capsys, monkeypatch, qtext, expected):
+        # the generation check builds each (family, n) once, and the counts
+        # read the oracle's sizes, so nothing walks a family a second time
+        real = rdyck.classes._member_walk
+        walked = []
+
+        def recorded(q, path_class, n):
+            walked.append((path_class, n))
+            return real(q, path_class, n)
+
+        monkeypatch.setattr(rdyck.classes, "_member_walk", recorded)
+        assert invoke(capsys, "verify", "--q", qtext, "--nmax", "8") == (0, expected, "")
+        assert walked == [(path_class, n) for n in range(9) for path_class in PathClass]
+
+    def test_counts_read_the_oracle(self, capsys, monkeypatch):
+        # the oracle loses one quasi member at n=5 and the generator does
+        # not: the generation check names it as extra, and the counts line
+        # shows that the oracle's own count is the one off; the path is quasi
+        # but not rational, so the intersection still holds
+        real_oracle = rdyck.cli.oracle_generate
+
+        def losing_oracle(q, n):
+            split = real_oracle(q, n=n)
+            if n == 5:
+                split[PathClass.QUASI] = tuple(text for text in split[PathClass.QUASI] if text != "UUDUDUDDUD")
+            return split
+
+        monkeypatch.setattr(rdyck.cli, "oracle_generate", losing_oracle)
+        code, out, _ = invoke(capsys, "verify", "--q", "3/2", "--nmax", "8")
+        assert code == 1
+        rows = "enumeration=1,1,2,4,7,12,23,42,76 recurrence={0} series={0}".format("1,1,2,4,7,13,23,42,76")
+        expected = VERIFY_3_2.replace(
+            "ok generation quasi", "FAIL generation quasi: n=5 missing=[] extra=['UUDUDUDDUD']"
+        )
+        assert out == expected.replace("ok counts quasi", f"FAIL counts quasi: {rows}")
 
     def test_rational_counts_name_the_route_that_disagrees(self, capsys, monkeypatch):
         # the unreduced closed form swapped for the compositions one, and the

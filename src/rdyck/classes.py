@@ -18,10 +18,12 @@ none.
 paths of height above two, and then applies the family's rules to them.
 
 ``generate`` builds each family constructively by suffix recursion,
-lexicographically with U before D.  The recursion itself fixes that order
-(the arch, then lead-ins with more peaks before fewer, then UD + tail), so a
-depth-first walk yields the members sorted: nothing is sorted, kept in a set
-or cached.  The walk (``_member_walk``) yields whole subtrees: below a node
+lexicographically with U before D.  The lead-ins' sizes are the part set of
+``core._part_sizes``, and one function, ``children`` in ``_member_walk``,
+orders a node's children (the arch, then lead-ins with more peaks before
+fewer, then UD + tail), with a lemma that a depth-first walk then yields the
+members sorted: nothing is sorted, kept in a set or cached.  The walk
+(``_member_walk``) yields whole subtrees: below a node
 with m semilength left lie the members of semilength m after the node's
 prefix, so the members of each small m are built once per call, into a table
 of at most ``_BLOCK_SIZE`` texts per m, and a node that reaches one yields
@@ -54,8 +56,8 @@ from rdyck.core import (
     DyckPath,
     RationalParam,
     _low_paths,
+    _part_sizes,
     _scan_blocks,
-    part_size,
 )
 
 __all__ = [
@@ -152,20 +154,9 @@ def _member_walk(q: RationalParam, path_class: PathClass, n: int) -> Iterator[tu
     count of texts.
 
     A depth-first walk of the suffix recursion on an explicit stack of
-    (prefix, remaining semilength) pairs.  Among the members that share a
-    prefix, with m semilength left:
-
-    * the quasi arch U(UD)^k(DU)^jD, k = min(r, m-1), comes first: a lead-in
-      with p peaks has p <= m-2, and p < k or else the arch does not exist
-      (p = r = k needs m > r+s), so the two first differ at offset 1+2p,
-      where the arch has U and the lead-in D;
-    * a lead-in with p peaks comes before one with p' < p peaks, since they
-      first differ at offset 1+2p', where the first has U and the second D;
-    * every lead-in starts UU, so all come before UD + tail.
-
-    So the arch is yielded at once, and UD + tail is pushed first and the
-    lead-ins by ascending p, for the stack to pop them in order.  The stack
-    holds only the pending siblings along the current branch.
+    (prefix, remaining semilength) pairs, whose order is U < D by the lemma
+    of ``children``.  The stack takes a node's children in reverse, to pop
+    them in order, and holds only the pending siblings along the branch.
 
     Below a node (prefix, m) lie exactly the members of semilength m, each
     after ``prefix`` and in the same order, whatever the prefix.  So the
@@ -175,25 +166,49 @@ def _member_walk(q: RationalParam, path_class: PathClass, n: int) -> Iterator[tu
     characters.  The counts never fall as m grows (UD + tail keeps every
     shorter member), so all larger m are walked.  A node whose m is in the
     table is one block, ``prefix`` joined before each of its texts by one
-    ``str.join``.  The table lives for one call only.
+    ``str.join``; the quasi arch, whose rest is 0, is a block of one text.
+    The table lives for one call only.
     """
     # the walk reads at most the first 2(n-1) steps of (UD)^r (DU)^(s-1)
     arch = "UD" * min(q.r, n) + "DU" * min(q.s - 1, n) if path_class is PathClass.QUASI else ""
-    leads = []
-    for p in range(1, n if path_class is PathClass.RATIONAL else q.r + 1):
-        size = part_size(q, p)
-        if size >= n:
-            break
-        leads.append((f"U{'UD' * p}{'DU' * (size - p - 1)}D", size))
+    sizes = _part_sizes(q, path_class is not PathClass.RATIONAL, n - 1)
+    leads = [(f"U{'UD' * p}{'DU' * (size - p - 1)}D", size) for p, size in enumerate(sizes, 1)][::-1]
+
+    def children(m: int) -> list[tuple[str, int]]:
+        """The (piece, rest) pairs below a node with m >= 1 semilength left,
+        in U < D order: the quasi arch (rest 0), the lead-ins of part size
+        below m by descending p, then UD (rest m - 1).
+
+        Lemma: a depth-first walk that takes each node's children in this
+        order yields the members of each semilength in U < D order.
+
+        Proof.  Every member of semilength m >= 1 is one piece followed by a
+        member of the piece's rest.  Two children's pieces first differ at an
+        offset inside both, where the earlier has U and the later D:
+
+        * the arch U(UD)^k(DU)^jD, k = min(r, m-1), and a lead-in with p
+          peaks: p + ceil(ps/r) < m gives p <= m-2, and p = r would give
+          m > r+s, where there is no arch, so p < k; offset 1+2p;
+        * lead-ins with p and p' < p peaks: offset 1+2p';
+        * every piece but UD starts UU (the arch has k >= 1); UD has D at 1.
+
+        So every member below the earlier child precedes every member below
+        the later.  By induction on m from the one empty member at m = 0,
+        the walk below each child yields its members in order, and so the
+        children, in this order, yield the node's.
+        """
+        pairs = [(f"U{arch[: 2 * (m - 1)]}D", 0)] if arch and 2 <= m <= q.r + q.s else []
+        for lead, size in leads:
+            if size < m:
+                pairs.append((lead, m - size))
+        pairs.append(("UD", m - 1))
+        return pairs
+
     table = [[""]]
     chars = 0
     while len(table) <= n:
         m = len(table)
-        members = [f"U{arch[: 2 * (m - 1)]}D"] if arch and 2 <= m <= q.r + q.s else []
-        for lead, size in reversed(leads):
-            if size < m:
-                members += [lead + tail for tail in table[m - size]]
-        members += ["UD" + tail for tail in table[m - 1]]
+        members = [piece + tail for piece, rest in children(m) for tail in table[rest]]
         chars += 2 * m * len(members)
         if len(members) > _BLOCK_SIZE or chars > _TABLE_CHARS:
             break
@@ -204,14 +219,9 @@ def _member_walk(q: RationalParam, path_class: PathClass, n: int) -> Iterator[tu
         if m < len(table):
             tails = table[m]
             yield prefix + f"\n{prefix}".join(tails), len(tails)
-            continue
-        if arch and 2 <= m <= q.r + q.s:
-            yield f"{prefix}U{arch[: 2 * (m - 1)]}D", 1
-        stack.append((prefix + "UD", m - 1))
-        for lead, size in leads:
-            if size >= m:
-                break
-            stack.append((prefix + lead, m - size))
+        else:
+            for piece, rest in reversed(children(m)):
+                stack.append((prefix + piece, rest))
 
 
 def oracle_generate(q: RationalParam, n: int) -> dict[PathClass, tuple[str, ...]]:

@@ -3,11 +3,12 @@
 A composition is a plain tuple of positive integer parts; the empty tuple is
 the composition of 0.  The part set of a parameter r/s is {1} together with
 the sizes p + ceil(p*s/r) for p >= 1 (the full set) or 1 <= p <= r (the
-capped set, ``finite``).  Compositions of n over the full set correspond
-one-to-one with rational-family members of semilength n+1, and over the
-capped set with restricted-family members: the part 1 becomes the arch UD, a
-larger part of size p + ceil(ps/r) becomes the lead-in
-U(UD)^p(DU)^(ceil(ps/r)-1)D, and a final UD arch closes the path.
+capped set, ``finite``); ``core._part_sizes`` lists the sizes, for the
+generator's lead-ins and the recurrence's terms too.  Compositions of n over
+the full set correspond one-to-one with rational-family members of
+semilength n+1, and over the capped set with restricted-family members: the
+part 1 becomes the arch UD, a larger part of size p + ceil(ps/r) becomes the
+lead-in U(UD)^p(DU)^(ceil(ps/r)-1)D, and a final UD arch closes the path.
 
 Each map has a private core on step texts and part tuples: ``_comp_text``
 joins the parts' pieces, each written by the one formula ``_piece``, and
@@ -24,24 +25,9 @@ oracle's search, so the check compares independent routes.
 
 from __future__ import annotations
 
-from rdyck.core import DyckPath, RationalParam, _scan_blocks, min_valleys, part_size
+from rdyck.core import DyckPath, RationalParam, _part_sizes, _scan_blocks, min_valleys, part_size
 
 __all__ = ["comp_to_path", "enumerate_compositions", "path_to_comp"]
-
-
-def _parts_upto(q: RationalParam, finite: bool, limit: int) -> tuple[int, ...]:
-    """All part values <= limit, ascending (part sizes are strictly increasing in p)."""
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    values = [1]
-    p = 1
-    while not finite or p <= q.r:
-        size = part_size(q, p)
-        if size > limit:
-            break
-        values.append(size)
-        p += 1
-    return tuple(values)
 
 
 def enumerate_compositions(q: RationalParam, finite: bool, n: int) -> tuple[tuple[int, ...], ...]:
@@ -49,7 +35,7 @@ def enumerate_compositions(q: RationalParam, finite: bool, n: int) -> tuple[tupl
     when ``finite``, in lexicographic part order."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    parts = _parts_upto(q, finite, n) if n else ()
+    parts = (1, *_part_sizes(q, finite, n)) if n else ()
     found: list[tuple[int, ...]] = []
     chosen: list[int] = []
 

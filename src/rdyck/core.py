@@ -303,6 +303,21 @@ def part_size(q: RationalParam, peaks: int) -> int:
     return peaks + min_valleys(q, peaks)
 
 
+def _part_sizes(q: RationalParam, capped: bool, limit: int) -> list[int]:
+    """The sizes part_size(q, p) <= ``limit`` for p = 1, 2, ..., p <= r when
+    ``capped``, ascending: the part set less its part 1.  The closed forms of
+    :mod:`rdyck.counting` sum their p <= r terms on their own, as a cross-check."""
+    sizes = []
+    p = 1
+    while not capped or p <= q.r:
+        size = part_size(q, p)
+        if size > limit:
+            break
+        sizes.append(size)
+        p += 1
+    return sizes
+
+
 def valley_slope(q: RationalParam) -> int | None:
     """The integer t with s = t*r + 1, when it exists (None otherwise).
 

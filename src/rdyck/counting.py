@@ -39,7 +39,7 @@ from itertools import repeat
 from operator import add, mul, sub
 
 from rdyck.classes import PathClass, _member_blocks
-from rdyck.core import RationalParam, _Frozen, part_size
+from rdyck.core import RationalParam, _Frozen, _part_sizes, part_size
 
 __all__ = [
     "RationalSeries",
@@ -267,14 +267,7 @@ def count_recurrence(q: RationalParam, path_class: PathClass, order: int) -> tup
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    exponents: list[int] = []
-    p = 1
-    while path_class is PathClass.RATIONAL or p <= q.r:
-        e = part_size(q, p)
-        if e > order:
-            break
-        exponents.append(e)
-        p += 1
+    exponents = _part_sizes(q, path_class is not PathClass.RATIONAL, order)
     values = [1]
     # exponents[:below] are the ones < n; they are distinct and ascending, so
     # at most one more joins them at each n
@@ -314,13 +307,8 @@ def check_sum_identity(q: RationalParam, order: int) -> bool:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     direct = [0] * (order + 1)
-    p = 1
-    while True:
-        e = part_size(q, p)
-        if e > order:
-            break
+    for e in _part_sizes(q, False, order):
         direct[e] += 1
-        p += 1
     run_sum = [-c for c in _minus_run_sum(q, [])]
     folded = RationalSeries(run_sum, [1] + [0] * (q.r + q.s - 1) + [-1])
     return tuple(direct) == series_coeffs(folded, order)

@@ -13,7 +13,7 @@ from rdyck import (
     path_to_comp,
 )
 from rdyck.cli import _composition_text, _parse_composition, run
-from rdyck.compositions import _parts_upto
+from rdyck.core import _part_sizes
 
 Q_SAMPLE = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 5)]
 
@@ -55,19 +55,31 @@ class TestComposition:
             comp_to_path(RationalParam(3, 4), (2, 0))
 
 
-class TestPartsUpto:
+class TestPartSizes:
     def test_full_set(self):
-        assert _parts_upto(RationalParam(3, 4), False, 14) == (1, 3, 5, 7, 10, 12, 14)
+        assert _part_sizes(RationalParam(3, 4), False, 14) == [3, 5, 7, 10, 12, 14]
 
     def test_capped_set(self):
-        assert _parts_upto(RationalParam(3, 4), True, 100) == (1, 3, 5, 7)
+        assert _part_sizes(RationalParam(3, 4), True, 100) == [3, 5, 7]
 
     def test_unit_case(self):
-        assert _parts_upto(RationalParam(1, 1), False, 5) == (1, 2, 4)
+        assert _part_sizes(RationalParam(1, 1), False, 5) == [2, 4]
 
-    def test_rejects_zero_limit(self):
-        with pytest.raises(ValueError):
-            _parts_upto(RationalParam(1, 1), False, 0)
+    def test_limit_below_every_size(self):
+        assert _part_sizes(RationalParam(1, 1), False, 1) == []
+
+    def test_matches_a_filter_of_part_size(self):
+        for r in range(1, 9):
+            for s in range(1, 9):
+                if math.gcd(r, s) != 1:
+                    continue
+                q = RationalParam(r, s)
+                for capped in (False, True):
+                    # part_size(q, p) > p, so p <= 40 covers every limit
+                    top = r if capped else 40
+                    for limit in range(41):
+                        expected = [part_size(q, p) for p in range(1, top + 1) if part_size(q, p) <= limit]
+                        assert _part_sizes(q, capped, limit) == expected, (q, capped, limit)
 
 
 class TestEnumerate:
@@ -96,7 +108,7 @@ class TestEnumerate:
             q = RationalParam(r, s)
             for finite in (False, True):
                 for n in range(9):
-                    allowed = set(_parts_upto(q, finite, n)) if n else set()
+                    allowed = {1, *_part_sizes(q, finite, n)} if n else set()
                     for comp in enumerate_compositions(q, finite, n):
                         assert sum(comp) == n
                         assert set(comp) <= allowed
@@ -176,8 +188,6 @@ class TestMapping:
     def test_part_inversion_unique(self):
         for r, s in Q_SAMPLE:
             q = RationalParam(r, s)
-            for value in _parts_upto(q, False, 25):
-                if value == 1:
-                    continue
+            for value in _part_sizes(q, False, 25):
                 hits = [p for p in range(1, 30) if part_size(q, p) == value]
                 assert len(hits) == 1

@@ -55,7 +55,7 @@ class TestComposition:
             comp_to_path(RationalParam(3, 4), (2, 0))
 
 
-class TestPartSizes:
+class TestPartsUpto:
     def test_full_set(self):
         assert _part_sizes(RationalParam(3, 4), False, 14) == [3, 5, 7, 10, 12, 14]
 

@@ -101,7 +101,8 @@ def _print_counts(fmt: str, texts: dict[str, Iterable[str]]) -> None:
     counts at large semilengths have more digits than Python's default
     int-to-text limit allows, so the limit is lifted while writing and
     restored afterwards (Python 3.10.0-3.10.6 has no limit).  Series texts
-    come from :func:`rdyck.counting._series_texts` and never meet it.
+    come from :func:`rdyck.counting._series_texts` as the text of exact
+    decimals, so no int is converted for them and they never meet it.
     """
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:

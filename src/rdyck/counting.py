@@ -16,19 +16,24 @@ at r = s = 1 the semilength-2 count would come out 1 even though both UDUD
 and UUDD belong.  The same +1 appears in the closed form as the numerator sum
 of x^j over 2 <= j <= r+s.
 
-All arithmetic is exact: Python integers throughout, never floats.  A
-polynomial is a tuple of coefficients indexed by exponent, built as a dense
-list, and a table of counts is a tuple indexed by semilength.
+All arithmetic is exact and on integers, never floats: Python ints, and
+integer-valued decimals where a series is printed (below).  A polynomial
+is a tuple of coefficients indexed by exponent, built as a dense list, and a
+table of counts is a tuple indexed by semilength.
 
 Printing a series is a separate concern.  CPython turns an int into decimal
 text in time quadratic in its digits, and the rational counts at semilength
 17,000 have over 4,000 digits.  So the CLI prints series coefficients through
 :func:`_series_texts`, which runs the same recurrence as
-:func:`series_coeffs` on base-10^K limbs and yields each coefficient as text,
-in time linear in its length and keeping only the last few rows.  It is an
-output path, not a fourth counting route: the cross-checks compare the three
-routes through :func:`series_coeffs`, and the tests compare
-:func:`_series_texts` with it.
+:func:`series_coeffs` on ``decimal.Decimal`` values and yields each
+coefficient as text, in time linear in its length and keeping only the last
+few rows.  Its private context has the largest precision and exponent range
+and traps ``Inexact``, ``Rounded``, ``Overflow`` and ``InvalidOperation``, so
+every value is an exact integer and a result that would be rounded raises:
+the arithmetic is still on integers only, held in base 10^19 rather than
+base 2^30.  It is an output path, not a fourth counting route: the
+cross-checks compare the three routes through :func:`series_coeffs`, and the
+tests compare :func:`_series_texts` with it.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator
 from itertools import repeat
-from operator import add, mul, sub
 
 from rdyck.classes import PathClass, _member_blocks
 from rdyck.core import RationalParam, _Frozen, _part_sizes, part_size
@@ -185,67 +189,60 @@ def series_coeffs(series: RationalSeries, order: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-# K, the decimal digits per limb of _series_texts.  A limb has at most K
-# digits, so K <= 640, the smallest int-to-text limit Python accepts, keeps
-# every limb below the limit.  A larger K takes fewer Python-level steps per
-# coefficient, but converting a limb to text costs time quadratic in K; on
-# Python 3.11, K from 200 to 300 wrote the 1/1 rational series to 17,000
-# fastest, in about 0.35 s against 2.1 s for str of each coefficient.
-_LIMB_DIGITS = 250
-
-
 def _series_texts(series: RationalSeries, order: int) -> Iterator[str]:
     """The decimal texts of a_0..a_order, as :func:`series_coeffs` would give
-    them through ``str``, computed in base 10^K (K = ``_LIMB_DIGITS``).
+    them through ``str``, computed on exact decimals.
 
-    Each a_n is a little-endian list of limbs: the linear combination of the
-    last min(deg(den), order + 1) rows is taken limb by limb, then floor
-    ``divmod`` carries bring every limb into [0, 10^K).  den has negative
-    coefficients, so limb sums and carries may be negative on the way; a
-    negative final carry means a negative coefficient, which raises the
-    error of :func:`series_coeffs`.  The top limb is written as it is and
-    the others zero-padded to K digits, so no int of more than K digits is
-    ever converted.
+    Each a_n is a ``decimal.Decimal``, taken as the linear combination of the
+    last min(deg(den), order + 1) rows.  Every step goes through the methods
+    of one private ``Context`` of the largest precision and exponent range,
+    which traps ``Inexact``, ``Rounded``, ``Overflow`` and
+    ``InvalidOperation``: each value is an integer with exponent 0, and a
+    result that would be rounded raises instead.  So this is still integer
+    arithmetic, held in base 10^19 words by libmpdec, and the caller's
+    thread context is neither read nor changed.  A negative coefficient raises the
+    error of :func:`series_coeffs`.  The text of an integer-valued decimal
+    takes time linear in its length and meets no int-to-text digit limit.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    digits = _LIMB_DIGITS
-    base = 10**digits
-    padded = f"0{digits}d"
-    num, den = series.numerator, series.denominator
+    # imported here, not at the top: launches that print no series skip it
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN
+    from decimal import Context, Inexact, InvalidOperation, Overflow, Rounded
+
+    # the rounding is pinned so that no change to decimal.DefaultContext can
+    # give a zero sum the sign bit
+    exact = Context(
+        prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN,
+        traps=[Inexact, Rounded, Overflow, InvalidOperation],
+    )
+    add, subtract, fma, text = exact.add, exact.subtract, exact.fma, exact.to_sci_string
+    zero = exact.create_decimal(0)
+    num = [exact.create_decimal(c) for c in series.numerator[: order + 1]]
+    den = series.denominator
     # a_n = num_n + sum of c * a_{n-j} over these (j, c), with c = -den_j;
     # a term with j > order meets only a_{n-j} for n - j < 0, which is 0
     terms = [(j, -c) for j, c in enumerate(den[: order + 1]) if j and c]
-    # rows[-j] is a_{n-j}; the empty list is 0, as is a_{n-j} for j > n
+    # c = +-1 is an add or a subtract, a fifth quicker than fma
+    plus = [j for j, c in terms if c == 1]
+    minus = [j for j, c in terms if c == -1]
+    scaled = [(j, exact.create_decimal(c)) for j, c in terms if c not in (1, -1)]
+    # rows[-j] is a_{n-j}; a_{n-j} for j > n is 0
     window = min(len(den) - 1, order + 1)
-    rows = deque(repeat([], window), maxlen=window)
+    rows = deque(repeat(zero, window), maxlen=window)
     for n in range(order + 1):
-        limbs = [num[n] if n < len(num) else 0]
-        for j, c in terms:
-            row = rows[-j]
-            if len(row) > len(limbs):
-                limbs += [0] * (len(row) - len(limbs))
-            if c == 1:
-                limbs[: len(row)] = map(add, limbs, row)
-            elif c == -1:
-                limbs[: len(row)] = map(sub, limbs, row)
-            else:
-                limbs[: len(row)] = map(add, limbs, map(mul, repeat(c), row))
-        carry = 0
-        for i, limb in enumerate(limbs):
-            carry, limbs[i] = divmod(limb + carry, base)
-        if carry < 0:
+        value = num[n] if n < len(num) else zero
+        for j in plus:
+            value = add(value, rows[-j])
+        for j in minus:
+            value = subtract(value, rows[-j])
+        for j, c in scaled:
+            value = fma(c, rows[-j], value)
+        # a zero sum of these terms is +0, so the sign bit means below zero
+        if value.is_signed():
             raise ValueError("counts must be non-negative")
-        while carry:
-            carry, limb = divmod(carry, base)
-            limbs.append(limb)
-        while limbs and not limbs[-1]:
-            limbs.pop()
-        rows.append(limbs)
-        if not limbs:
-            yield "0"
-        else:
-            yield str(limbs[-1]) + "".join([format(limb, padded) for limb in reversed(limbs[:-1])])
+        rows.append(value)
+        yield text(value)
 
 
 def count_recurrence(q: RationalParam, path_class: PathClass, order: int) -> tuple[int, ...]:

@@ -12,7 +12,6 @@ import rdyck.bijection
 import rdyck.classes
 import rdyck.cli
 import rdyck.compositions
-import rdyck.counting
 from rdyck import (
     DyckPath,
     PathClass,
@@ -251,11 +250,11 @@ class TestSeries:
         assert json.loads(out) == [1, 1, 1, 2, 3, 5]
 
     @pytest.mark.parametrize("fmt", ["lines", "json"])
-    def test_small_limbs_do_not_show(self, capsys, monkeypatch, fmt):
-        # the series method prints from limbs of _LIMB_DIGITS digits, the
-        # other methods through str; the bytes must not tell them apart
+    def test_small_limbs_do_not_show(self, capsys, fmt):
+        # the series method prints exact decimals, stored in limbs of 19
+        # digits, and the other methods ints through str; the bytes must not
+        # tell them apart
         values = list(series_coeffs(rational_gf(RationalParam(1, 1)), 300))
-        monkeypatch.setattr(rdyck.counting, "_LIMB_DIGITS", 2)
         series = invoke(capsys, "series", "--q", "1/1", "--gf", "rational", "--nmax", "300", "--format", fmt)
         count = invoke(
             capsys, "count", "--class", "r", "--q", "1/1", "--nmax", "300", "--method", "series", "--format", fmt
@@ -384,7 +383,8 @@ def test_runs_as_module():
 
 def test_cli_imports_no_heavy_modules():
     # every launch imports rdyck.cli; dataclasses (with inspect, ast, dis and
-    # tokenize) and json would add to each launch's start-up.  The modules
+    # tokenize), json and decimal (with numbers) would add to each launch's
+    # start-up, and only series output needs decimal.  The modules
     # the interpreter's site hooks import vary by machine, so only the
     # modules that importing rdyck.cli adds are checked.
     probe = "import sys; before = set(sys.modules); import rdyck.cli; print(*sorted(set(sys.modules) - before))"
@@ -394,7 +394,8 @@ def test_cli_imports_no_heavy_modules():
     assert done.returncode == 0, done.stderr
     added = set(done.stdout.split())
     assert "rdyck.cli" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "decimal", "_decimal", "numbers"}
+    assert not added & heavy
 
 
 @pytest.mark.parametrize(

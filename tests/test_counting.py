@@ -1,3 +1,6 @@
+import decimal
+import os
+import subprocess
 import sys
 import tracemalloc
 from math import gcd
@@ -130,11 +133,7 @@ class TestSeriesCoeffs:
 
 
 class TestSeriesTexts:
-    @pytest.mark.parametrize("digits", [1, 2, 3, 7, rdyck.counting._LIMB_DIGITS])
-    def test_equal_to_the_coefficients(self, monkeypatch, digits):
-        # small limbs make every coefficient span many of them, so carries and
-        # the borrows of den's negative terms cross limb boundaries throughout
-        monkeypatch.setattr(rdyck.counting, "_LIMB_DIGITS", digits)
+    def test_equal_to_the_coefficients(self):
         for r in range(1, 9):
             for s in range(1, 9):
                 if gcd(r, s) != 1:
@@ -146,17 +145,16 @@ class TestSeriesTexts:
                     assert list(_series_texts(series, 300)) == expected
                     assert list(_series_texts(series, 0)) == expected[:1]
 
-    @pytest.mark.parametrize("digits", [1, 2])
-    def test_zero_and_shrinking_coefficients(self, monkeypatch, digits):
+    def test_zero_and_shrinking_coefficients(self):
         # (1 + 2x)/(1 - x^3) has zeros between its nonzero terms, and 0/1 has
-        # only zeros; (100 - 95x)/(1 - x) falls from 100 to 5, so its top
-        # limbs become zero and must not be written
-        monkeypatch.setattr(rdyck.counting, "_LIMB_DIGITS", digits)
+        # only zeros; (100 - 95x)/(1 - x) falls from 100 to 5, and
+        # (1 - x)/(1 - x) falls to a zero that is a sum of nonzero terms
         series = RationalSeries((1, 2), (1, 0, 0, -1))
         assert list(_series_texts(series, 7)) == ["1", "2", "0", "1", "2", "0", "1", "2"]
         assert list(_series_texts(RationalSeries((), (1,)), 2)) == ["0", "0", "0"]
         falling = RationalSeries((100, -95), (1, -1))
         assert list(_series_texts(falling, 2)) == ["100", "5", "5"]
+        assert list(_series_texts(RationalSeries((1, -1), (1, -1)), 2)) == ["1", "0", "0"]
 
     @pytest.mark.parametrize(
         "numerator,denominator,order,expected",
@@ -203,7 +201,8 @@ class TestSeriesTexts:
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-text digit limit")
     def test_limbs_stay_below_the_strictest_digit_limit(self):
         # the 1/1 counts pass 640 digits well before n = 3000, the limit is
-        # not lifted here, and 640 is the smallest limit Python accepts
+        # not lifted here, and 640 is the smallest limit Python accepts; the
+        # decimals are written without any int-to-text conversion
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
@@ -212,6 +211,51 @@ class TestSeriesTexts:
             sys.set_int_max_str_digits(previous)
         assert len(texts[-1]) > 640
         assert texts == list(map(str, series_coeffs(rational_gf(RationalParam(1, 1)), 3000)))
+
+    def test_caller_context_does_not_show(self):
+        # a caller's thread context of 5 digits, truncating and trapping
+        # nothing, and a default context that rounds towards -inf (under which
+        # 1 - 1 is -0), change neither the texts nor their exactness
+        series = rational_gf(RationalParam(1, 1))
+        expected = list(map(str, series_coeffs(series, 3000)))
+        caller = decimal.Context(prec=5, rounding=decimal.ROUND_DOWN, traps=[])
+        previous = decimal.getcontext()
+        default_rounding = decimal.DefaultContext.rounding
+        decimal.setcontext(caller)
+        decimal.DefaultContext.rounding = decimal.ROUND_FLOOR
+        try:
+            texts = list(_series_texts(series, 3000))
+            falling = list(_series_texts(RationalSeries((1, -1), (1, -1)), 2))
+        finally:
+            decimal.DefaultContext.rounding = default_rounding
+            decimal.setcontext(previous)
+        assert texts == expected
+        assert falling == ["1", "0", "0"]
+        assert (caller.prec, caller.rounding) == (5, decimal.ROUND_DOWN)
+        assert not any(caller.flags.values())
+
+    def test_exact_without_the_c_module(self):
+        # with _decimal unimportable, decimal falls back on _pydecimal
+        probe = """
+import sys
+sys.modules["_decimal"] = None
+import decimal
+from rdyck import RationalParam, compositions_gf, quasi_gf, rational_gf, restricted_gf, series_coeffs
+from rdyck.counting import _series_texts
+assert decimal.Context is sys.modules["_pydecimal"].Context
+for q in (RationalParam(3, 4), RationalParam(1, 1)):
+    for gf in (rational_gf, restricted_gf, quasi_gf, compositions_gf):
+        series = gf(q)
+        assert list(_series_texts(series, 300)) == list(map(str, series_coeffs(series, 300))), (q, gf)
+print("ok")
+"""
+        src = os.path.dirname(os.path.dirname(rdyck.counting.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 
 
 class TestRecurrence:

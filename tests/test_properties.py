@@ -1,12 +1,14 @@
 import math
 from itertools import accumulate
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rdyck import (
     DyckPath,
     PathClass,
     RationalParam,
+    RationalSeries,
     comp_to_path,
     defactorize,
     enumerate_compositions,
@@ -18,11 +20,13 @@ from rdyck import (
     phi,
     phi_inv,
     semilength,
+    series_coeffs,
     valley_slope,
 )
 from rdyck.classes import _member_walk
 from rdyck.cli import _composition_text, _parse_composition
 from rdyck.core import _low_paths
+from rdyck.counting import _series_texts
 
 from exhaustive import oracle_all_height2
 
@@ -222,3 +226,27 @@ def test_block_test_against_the_level_walk(texts):
 @given(rationals(), st.sampled_from(list(PathClass)), st.integers(min_value=0, max_value=16))
 def test_block_test_accepts_every_block_of_members(q, path_class, n):
     assert all(_low_paths(joined, count) for joined, count in _member_walk(q, path_class, n))
+
+
+@st.composite
+def small_series(draw):
+    numerator = draw(st.lists(st.integers(min_value=-3, max_value=4), max_size=6))
+    tail = draw(st.lists(st.integers(min_value=-4, max_value=2), max_size=8))
+    return RationalSeries(numerator, [1, *tail])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_series(), st.integers(min_value=0, max_value=60))
+@example(RationalSeries((1,), (1, -2, 1)), 60)
+@example(RationalSeries((2, -1, 3), (1, -1, 0, -3, 0, 0, -1)), 60)
+@example(RationalSeries((1, -1), (1, -1)), 5)
+def test_series_texts_match_the_coefficients(series, order):
+    # the decimal texts against str of the int coefficients, or the same error
+    try:
+        expected = list(map(str, series_coeffs(series, order)))
+    except ValueError as coeffs_error:
+        with pytest.raises(ValueError) as text_error:
+            list(_series_texts(series, order))
+        assert str(text_error.value) == str(coeffs_error)
+    else:
+        assert list(_series_texts(series, order)) == expected

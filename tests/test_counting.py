@@ -133,7 +133,15 @@ class TestSeriesCoeffs:
 
 
 class TestSeriesTexts:
-    def test_equal_to_the_coefficients(self):
+    @pytest.mark.parametrize("digits", [1, 2, 3, 7, 250])
+    def test_equal_to_the_coefficients(self, digits):
+        # the caller's thread context keeps only a few digits, truncates and
+        # traps nothing; the texts are exact all the same
+        caller = decimal.Context(prec=digits, rounding=decimal.ROUND_DOWN, traps=[])
+        with decimal.localcontext(caller):
+            self._assert_equal_to_the_coefficients()
+
+    def _assert_equal_to_the_coefficients(self):
         for r in range(1, 9):
             for s in range(1, 9):
                 if gcd(r, s) != 1:
@@ -145,10 +153,17 @@ class TestSeriesTexts:
                     assert list(_series_texts(series, 300)) == expected
                     assert list(_series_texts(series, 0)) == expected[:1]
 
-    def test_zero_and_shrinking_coefficients(self):
+    @pytest.mark.parametrize("digits", [1, 2])
+    def test_zero_and_shrinking_coefficients(self, digits):
         # (1 + 2x)/(1 - x^3) has zeros between its nonzero terms, and 0/1 has
         # only zeros; (100 - 95x)/(1 - x) falls from 100 to 5, and
-        # (1 - x)/(1 - x) falls to a zero that is a sum of nonzero terms
+        # (1 - x)/(1 - x) falls to a zero that is a sum of nonzero terms; a
+        # caller's context of one or two digits changes none of them
+        caller = decimal.Context(prec=digits, rounding=decimal.ROUND_FLOOR, traps=[])
+        with decimal.localcontext(caller):
+            self._assert_zero_and_shrinking_coefficients()
+
+    def _assert_zero_and_shrinking_coefficients(self):
         series = RationalSeries((1, 2), (1, 0, 0, -1))
         assert list(_series_texts(series, 7)) == ["1", "2", "0", "1", "2", "0", "1", "2"]
         assert list(_series_texts(RationalSeries((), (1,)), 2)) == ["0", "0", "0"]

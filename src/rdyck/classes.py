@@ -31,24 +31,29 @@ them as one block of text joined by newlines.
 
 The walk has one caller, ``_member_blocks``, which checks each block as a
 whole by ``core._low_paths`` in a fixed number of string operations, so every
-member is validated.  ``enumerate`` and ``count_enumeration`` stream the
-blocks, ``verify``'s generation check and ``check_bijection`` take one
-semilength's texts (``_member_texts``), and only ``generate``, which the library itself no
-longer calls, builds a ``DyckPath`` per member.
+member is validated.  ``enumerate``, ``count_enumeration`` and
+``verify``'s generation check stream the blocks, ``check_bijection`` takes
+one semilength's texts (``_member_texts``), and only ``generate``, which the
+library itself no longer calls, builds a ``DyckPath`` per member.
 
-``oracle_generate`` gives the brute-force route used to differential-test
-it: an exhaustive search over U/D steps with one pruning rule, which sorts
-each path into the families as it reaches it.  The search drops every path
-with an interior block (p >= 1 peaks, fewer than ceil(p*s/r) valleys), which
-no family accepts, so at n = 15 it yields 1,566 candidates at 3/4 and 6,777
-at 3/2 rather than all 2^14 = 16,384 height-two paths (about 1.61 and 1.84
-per unit of n, not 2).  It returns step texts, shares no code with
-``member``, and keeps nothing between calls.
+The oracle is the brute-force route used to differential-test it: an
+exhaustive search over U/D steps with one pruning rule, which sorts each
+path into the families as it reaches it.  The search drops every path with
+an interior block (p >= 1 peaks, fewer than ceil(p*s/r) valleys), which no
+family accepts, so at n = 15 it yields 1,566 candidates at 3/4 and 6,777 at
+3/2 rather than all 2^14 = 16,384 height-two paths (about 1.61 and 1.84 per
+unit of n, not 2).  The search (``_oracle_steps``) runs on an explicit stack
+and yields its candidates in U < D order, in chunks of at most
+``_BLOCK_SIZE``; ``_oracle_chunks`` sorts each chunk into the families, and
+``verify`` reads that stream, so no family is ever held whole.
+``oracle_generate`` collects the stream into one tuple per family.  The
+oracle gives step texts, shares no code with ``member``, and keeps nothing
+between calls.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import chain
 
@@ -129,7 +134,12 @@ def _member_texts(q: RationalParam, path_class: PathClass, n: int) -> tuple[str,
     ``_member_blocks``; a negative ``n`` raises ``generate``'s ``ValueError``."""
     if n < 0:
         raise ValueError(f"semilength must be >= 0, got {n}")
-    return tuple(chain.from_iterable(joined.split("\n") for joined, _ in _member_blocks(q, path_class, n)))
+    return tuple(_block_texts(_member_blocks(q, path_class, n)))
+
+
+def _block_texts(blocks: Iterable[tuple[str, int]]) -> Iterator[str]:
+    """The texts of blocks such as ``_member_blocks``', one by one."""
+    return chain.from_iterable(joined.split("\n") for joined, _ in blocks)
 
 
 def _member_blocks(q: RationalParam, path_class: PathClass, n: int) -> Iterator[tuple[str, int]]:
@@ -228,39 +238,51 @@ def oracle_generate(q: RationalParam, n: int) -> dict[PathClass, tuple[str, ...]
     """Brute-force counterpart of ``generate``: the step texts of semilength
     ``n`` in each family, in U < D order, with no ``DyckPath`` built.
 
+    The stream ``_oracle_chunks`` collected into one tuple per family.  A
+    negative ``n`` raises ``generate``'s ``ValueError``.
+    """
+    if n < 0:
+        raise ValueError(f"semilength must be >= 0, got {n}")
+    families: dict[PathClass, list[str]] = {path_class: [] for path_class in PathClass}
+    for chunk in _oracle_chunks(q, n):
+        for path_class, texts in chunk.items():
+            families[path_class].extend(texts)
+    return {path_class: tuple(texts) for path_class, texts in families.items()}
+
+
+def _oracle_chunks(q: RationalParam, n: int) -> Iterator[dict[PathClass, list[str]]]:
+    """The oracle's families of semilength ``n`` >= 0 as a stream: for each
+    chunk of ``_oracle_steps``, the texts of each family in it, in U < D
+    order.
+
     The search has kept every interior block at its demand, so a path's
     final block (p, v) and largest peak run decide: rational when
     v*r >= p*s, restricted when also within the cap r, and quasi when within
     the cap and the final block meets its demand, has p = r or has v = 0.
-    A negative ``n`` raises ``generate``'s ``ValueError``.
     """
-    if n < 0:
-        raise ValueError(f"semilength must be >= 0, got {n}")
     r, s = q.r, q.s
-    rational: list[str] = []
-    restricted: list[str] = []
-    quasi: list[str] = []
-    for steps, peaks, valleys, top in _oracle_steps(q, n):
-        capped = top <= r and peaks <= r
-        if valleys * r >= peaks * s:
-            rational.append(steps)
-            if capped:
-                restricted.append(steps)
+    for leaves in _oracle_steps(q, n):
+        rational: list[str] = []
+        restricted: list[str] = []
+        quasi: list[str] = []
+        for steps, peaks, valleys, top in leaves:
+            capped = top <= r and peaks <= r
+            if valleys * r >= peaks * s:
+                rational.append(steps)
+                if capped:
+                    restricted.append(steps)
+                    quasi.append(steps)
+            elif capped and (peaks == r or not valleys):
                 quasi.append(steps)
-        elif capped and (peaks == r or not valleys):
-            quasi.append(steps)
-    return {
-        PathClass.RATIONAL: tuple(rational),
-        PathClass.RESTRICTED: tuple(restricted),
-        PathClass.QUASI: tuple(quasi),
-    }
+        yield {PathClass.RATIONAL: rational, PathClass.RESTRICTED: restricted, PathClass.QUASI: quasi}
 
 
-def _oracle_steps(q: RationalParam, n: int) -> list[tuple[str, int, int, int]]:
-    """The height-<=2 Dyck paths of semilength ``n``, less those with an
-    interior block short of its valleys, in U < D order: each as its step
-    text, the peaks and valleys of its final block, and its largest closed
-    peak run (0 when there is none).
+def _oracle_steps(q: RationalParam, n: int) -> Iterator[list[tuple[str, int, int, int]]]:
+    """The height-<=2 Dyck paths of semilength ``n`` >= 0, less those with an
+    interior block short of its valleys, in U < D order and in chunks of at
+    most ``_BLOCK_SIZE``: each path as its step text, the peaks and valleys
+    of its final block, and its largest closed peak run (0 when there is
+    none).
 
     A backtracking search over the steps within levels [0, 2], U tried before
     D at every step, with one pruning rule.  A peak is a U from level 1 and a
@@ -269,29 +291,51 @@ def _oracle_steps(q: RationalParam, n: int) -> list[tuple[str, int, int, int]]:
     interior.  No family accepts an interior block (p, v) with p >= 1 and
     v < ceil(p*s/r) (only the quasi family's final block is let off), so the
     search drops the U that would close such a block, and with it every path
-    below.  Each step carries the level, the open block's peaks and valleys,
-    and the largest closed peak run.  The search shares nothing with the
-    suffix recursion of ``_member_walk``.
+    below.  Each node carries its prefix, level and steps left, the open
+    block's peaks and valleys, and the largest closed peak run.  The search
+    shares nothing with the suffix recursion of ``_member_walk``.
+
+    The search runs depth first on an explicit stack of nodes, and the
+    stack holds only the pending D siblings along the branch: from a popped
+    node it steps down to a leaf, taking U wherever U is allowed and pushing
+    the D sibling it passes over, so everything below a U comes before its
+    D sibling.  At level 0 only U is allowed, at level 2 only D, and a U is
+    taken only with room to come back down, so every node has a child, the
+    level never exceeds the steps left, and every leaf is at level 0.
     """
     r, s = q.r, q.s
-    found: list[tuple[str, int, int, int]] = []
-
-    def extend(prefix: str, level: int, remaining: int, peaks: int, valleys: int, top: int) -> None:
-        if remaining == 0:
-            # a U is taken only with room to come back down, so the level
-            # never exceeds the steps left, and every leaf is at level 0
-            found.append((prefix, peaks, valleys, top))
-            return
-        if level < 2 and level + 2 <= remaining:
-            if level == 0:
-                extend(prefix + "U", 1, remaining - 1, peaks, valleys, top)
-            elif not valleys:
-                extend(prefix + "U", 2, remaining - 1, peaks + 1, 0, top)
-            elif valleys * r >= peaks * s:
-                extend(prefix + "U", 2, remaining - 1, 1, 0, max(top, peaks))
-        if level > 0:
-            valley = level == 1 and remaining > 1
-            extend(prefix + "D", level - 1, remaining - 1, peaks, valleys + valley, top)
-
-    extend("", 0, 2 * n, 0, 0, 0)
-    return found
+    size = _BLOCK_SIZE
+    leaves: list[tuple[str, int, int, int]] = []
+    stack = [("", 0, 2 * n, 0, 0, 0)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        prefix, level, remaining, peaks, valleys, top = pop()
+        while remaining:
+            remaining -= 1
+            if not level:
+                prefix += "U"
+                level = 1
+            elif level == 2:
+                prefix += "D"
+                level = 1
+            elif remaining > 1 and (not valleys or valleys * r >= peaks * s):
+                # a valley below the D: a D from level 1 that is not the last step
+                push((prefix + "D", 0, remaining, peaks, valleys + 1, top))
+                prefix += "U"
+                level = 2
+                if valleys:
+                    # this peak starts a new block and closes the open one
+                    top = max(top, peaks)
+                    peaks, valleys = 1, 0
+                else:
+                    peaks += 1
+            else:
+                prefix += "D"
+                level = 0
+                valleys += remaining > 0
+        leaves.append((prefix, peaks, valleys, top))
+        if len(leaves) == size:
+            yield leaves
+            leaves = []
+    if leaves:
+        yield leaves

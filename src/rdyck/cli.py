@@ -11,13 +11,32 @@ RDYCK_MAX_N that is not a non-negative integer, whatever the command).
 from __future__ import annotations
 
 import argparse
+import operator
 import os
 import sys
 from collections.abc import Iterable
+from functools import partial
+from itertools import chain, islice
 
-from rdyck.bijection import _phi_inv_text, _phi_text, check_bijection, collision_pair, phi, phi_inv
-from rdyck.classes import PathClass, _member_blocks, _member_texts, member, oracle_generate
-from rdyck.compositions import _comp_text, _text_parts, comp_to_path, enumerate_compositions, path_to_comp
+from rdyck.bijection import _phi_inv_text, _phi_maps, _phi_text, check_bijection, collision_pair, phi, phi_inv
+from rdyck.classes import (
+    PathClass,
+    _block_texts,
+    _member_blocks,
+    _member_texts,
+    _oracle_chunks,
+    member,
+    oracle_generate,
+)
+from rdyck.compositions import (
+    _comp_text,
+    _composes,
+    _descending_compositions,
+    _text_parts,
+    comp_to_path,
+    enumerate_compositions,
+    path_to_comp,
+)
 from rdyck.core import DyckPath, RationalParam, _parse_int, semilength, valley_slope
 from rdyck.counting import (
     _series_texts,
@@ -250,52 +269,65 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         + ["intersection", *part_sets, "bijection" if bijective else "collisions"],
         "",
     )
-    # n outermost: one oracle call sorts each semilength's candidates into all
-    # three families, as step texts in U<D order, and every check reads those
-    # tuples.  The generator is compared with them until the family's first
-    # fault, and is not built again after it; the oracle's sizes are the
-    # enumeration counts.  The maps run on the texts through their private
-    # cores, so no path object is built.  One ordered pass proves each map:
-    # compositions of n - 1 onto the family of semilength n and, where
-    # s = t*r + 1, quasi at n - t - 1 onto restricted at n (each quasi tuple
-    # waits t + 1 semilengths for it).
+    # n outermost: one oracle stream per semilength sorts its candidates into
+    # all three families, as step texts in U<D order, chunk by chunk, and
+    # every check reads each chunk as it comes, so no family is held whole.
+    # A check that pairs a family with a stream of its own, by position,
+    # compares each chunk with an equal-length slice of that stream: the
+    # generator's texts, the compositions of n - 1 largest part first (which
+    # comp_to_path sends onto the family in U<D order), and, where
+    # s = t*r + 1, a second oracle stream's quasi texts at n - t - 1, which
+    # phi sends onto the restricted family at n.  The maps run on the texts
+    # through their private cores, so no path object is built.  The counts'
+    # enumeration rows are the streams' lengths.  A check that fails at n is
+    # rebuilt once, in full, from oracle_generate, so its line names its
+    # witness as the whole families would.
     sizes: dict[PathClass, list[int]] = {path_class: [] for path_class in PathClass}
-    waiting: dict[int, tuple[str, ...]] = {}
     for n in range(nmax + 1):
-        # n by keyword, which perfbench/spans.py reads as the semilength
-        oracle = oracle_generate(q, n=n)
-        for path_class, checked in oracle.items():
-            sizes[path_class].append(len(checked))
+        # check name -> (the family it pairs, its own stream, and whether a
+        # slice of that stream agrees with the family's texts in a chunk)
+        pairings = {}
+        for path_class in PathClass:
             name = f"generation {path_class.value}"
-            if faults[name]:
-                continue
-            built = _member_texts(q, path_class, n)
-            if built != checked:
-                built_set, checked_set = set(built), set(checked)
-                missing = [text for text in checked if text not in built_set]
-                extra = [text for text in built if text not in checked_set]
-                faults[name] = f"n={n} missing={missing} extra={extra}"
-        if not faults["intersection"]:
-            meet = set(oracle[PathClass.RATIONAL]).intersection(oracle[PathClass.QUASI])
-            expected = set(oracle[PathClass.RESTRICTED])
-            if meet != expected:
-                faults["intersection"] = f"n={n} witnesses={sorted(meet ^ expected)}"
-        for name, (finite, path_class) in part_sets.items():
-            if n and not faults[name]:
-                faults[name] = _composition_fault(q, finite, n - 1, oracle[path_class])
-        if bijective:
-            waiting[n] = oracle[PathClass.QUASI]
-            if n > t:
-                domain = waiting.pop(n - t - 1)
-                if not faults["bijection"]:
-                    faults["bijection"] = _bijection_fault(q, t, n - t - 1, domain, oracle[PathClass.RESTRICTED])
+            if not faults[name]:
+                pairings[name] = (path_class, _block_texts(_member_blocks(q, path_class, n)), operator.eq)
+        if n:
+            composes = partial(_composes, q, {})
+            for name, (finite, path_class) in part_sets.items():
+                if not faults[name]:
+                    pairings[name] = (path_class, _descending_compositions(q, finite, n - 1), composes)
+        if bijective and n > t and not faults["bijection"]:
+            domain = chain.from_iterable(chunk[PathClass.QUASI] for chunk in _oracle_chunks(q, n - t - 1))
+            pairings["bijection"] = (PathClass.RESTRICTED, domain, partial(_phi_maps, q, t))
+        meets = not faults["intersection"]
+        failed = []
+        for counts in sizes.values():
+            counts.append(0)
+        for chunk in _oracle_chunks(q, n):
+            for path_class, texts in chunk.items():
+                sizes[path_class][-1] += len(texts)
+            if meets:
+                meet = set(chunk[PathClass.RATIONAL]).intersection(chunk[PathClass.QUASI])
+                if meet != set(chunk[PathClass.RESTRICTED]):
+                    meets = False
+                    failed.append("intersection")
+            for name, (path_class, stream, agree) in list(pairings.items()):
+                texts = chunk[path_class]
+                if not agree(list(islice(stream, len(texts))), texts):
+                    del pairings[name]
+                    failed.append(name)
+        # a stream that runs on past its family fails its check too
+        failed += [name for name, (_, stream, _) in pairings.items() if next(stream, None) is not None]
+        if failed:
+            faults.update(_faults_in_full(q, n, t, part_sets, failed))
     if nmax == 0:
         # the compositions of 0 are checked all the same, onto semilength 1
         for name, (finite, path_class) in part_sets.items():
             faults[name] = _composition_fault(q, finite, 0, _member_texts(q, path_class, 1))
     if bijective and nmax <= t:
         # n = 0 is checked all the same, onto images past nmax
-        faults["bijection"] = _bijection_fault(q, t, 0, waiting[0], _member_texts(q, PathClass.RESTRICTED, t + 1))
+        domain = oracle_generate(q, n=0)[PathClass.QUASI]
+        faults["bijection"] = _bijection_fault(q, t, 0, domain, _member_texts(q, PathClass.RESTRICTED, t + 1))
 
     for path_class in PathClass:
         enum = tuple(sizes[path_class])
@@ -340,6 +372,37 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _line(counts: tuple[int, ...]) -> str:
     return ",".join(map(str, counts))
+
+
+def _faults_in_full(
+    q: RationalParam, n: int, t: int, part_sets: dict[str, tuple[bool, PathClass]], failed: list[str]
+) -> dict[str, str]:
+    """The fault texts of the checks in ``failed`` at semilength ``n``, from
+    the whole families: one more oracle call, by ``oracle_generate``, and
+    the generator's texts, built again, for a failed generation check."""
+    # n by keyword, which perfbench/spans.py reads as the semilength
+    oracle = oracle_generate(q, n=n)
+    faults = {}
+    for name in failed:
+        check, _, family = name.partition(" ")
+        if check == "generation":
+            path_class = PathClass(family)
+            checked, built = oracle[path_class], tuple(_block_texts(_member_blocks(q, path_class, n)))
+            built_set, checked_set = set(built), set(checked)
+            missing = [text for text in checked if text not in built_set]
+            extra = [text for text in built if text not in checked_set]
+            faults[name] = f"n={n} missing={missing} extra={extra}"
+        elif check == "intersection":
+            meet = set(oracle[PathClass.RATIONAL]).intersection(oracle[PathClass.QUASI])
+            expected = set(oracle[PathClass.RESTRICTED])
+            faults[name] = f"n={n} witnesses={sorted(meet ^ expected)}"
+        elif check == "compositions":
+            finite, path_class = part_sets[name]
+            faults[name] = _composition_fault(q, finite, n - 1, oracle[path_class])
+        else:
+            domain = oracle_generate(q, n=n - t - 1)[PathClass.QUASI]
+            faults[name] = _bijection_fault(q, t, n - t - 1, domain, oracle[PathClass.RESTRICTED])
+    return faults
 
 
 def _composition_fault(q: RationalParam, finite: bool, n: int, texts: tuple[str, ...]) -> str:

@@ -21,9 +21,17 @@ the cores on the oracle's texts of each family, so its check covers the
 code behind the public maps.  The pieces never come from the generator's
 own lead-ins (``classes._member_walk``), and the texts come from the
 oracle's search, so the check compares independent routes.
+
+One walk, ``_descending_compositions``, enumerates the compositions of n,
+largest part first, on an explicit stack.  Its docstring proves that
+``comp_to_path`` sends them, in that order, onto the family in U < D order,
+so ``rdyck verify`` pairs the two streams by position and holds neither;
+``enumerate_compositions`` is the walk reversed, in lexicographic order.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from rdyck.core import DyckPath, RationalParam, _part_sizes, _scan_blocks, min_valleys, part_size
 
@@ -32,26 +40,67 @@ __all__ = ["comp_to_path", "enumerate_compositions", "path_to_comp"]
 
 def enumerate_compositions(q: RationalParam, finite: bool, n: int) -> tuple[tuple[int, ...], ...]:
     """Every composition of ``n`` over the full part set, or the capped one
-    when ``finite``, in lexicographic part order."""
+    when ``finite``, in lexicographic part order: the walk
+    ``_descending_compositions`` reversed."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    return tuple(reversed(tuple(_descending_compositions(q, finite, n))))
+
+
+def _descending_compositions(q: RationalParam, finite: bool, n: int) -> Iterator[tuple[int, ...]]:
+    """The compositions of ``n`` >= 0 over the full part set, or the capped
+    one when ``finite``, largest part first: in descending lexicographic
+    order.
+
+    A depth-first walk on an explicit stack of (parts so far, rest) pairs,
+    which holds only the pending siblings along the branch: from a popped
+    node it steps down to a leaf, taking the largest part that fits and
+    pushing the smaller ones by ascending size, so the next largest pops
+    first.  No composition of n is a prefix of another, so this order is
+    the descending lexicographic one.
+
+    Lemma: ``comp_to_path`` sends the compositions in this order onto the
+    family of semilength n+1 (rational over the full set, restricted over
+    the capped one) in U < D order.
+
+    Proof.  Let a come before b, and let i be the first index where they
+    differ; both have an i-th part, since their earlier parts agree and each
+    sums to n, and a_i > b_i.  Their images agree on the pieces of the first
+    i-1 parts, and then on the pieces of a_i and b_i up to the first offset
+    where those differ.  That offset lies inside both pieces, with U in a's:
+
+    * b_i = 1: its piece UD has D at offset 1, and every other piece starts
+      UU;
+    * b_i > 1: the pieces are U(UD)^p(DU)^(c-1)D and U(UD)^p'(DU)^(c'-1)D
+      with c = ceil(ps/r), c' = ceil(p's/r) >= 1, and p > p', since the part
+      size p + ceil(ps/r) grows with p.  Both begin U(UD)^p'; at offset
+      1+2p' a's piece has the U of its next UD and b's piece the D that
+      follows its peaks.  A piece with p peaks has 2(p+c) >= 2p+2
+      characters, so the offset 1+2p' is inside both.
+
+    So the image of a precedes the image of b.  The map is a bijection
+    between the compositions and the family (``path_to_comp`` inverts it),
+    so an order-preserving bijection lists the family in U < D order.  The
+    images are paired with the family's texts by position, so this order
+    fact is what lets ``rdyck verify`` stream both sides instead of holding
+    either.
+    """
     parts = (1, *_part_sizes(q, finite, n)) if n else ()
-    found: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def extend(remaining: int) -> None:
-        if remaining == 0:
-            found.append(tuple(chosen))
-            return
-        for part in parts:
-            if part > remaining:
-                break
-            chosen.append(part)
-            extend(remaining - part)
-            chosen.pop()
-
-    extend(n)
-    return tuple(found)
+    stack: list[tuple[tuple[int, ...], int]] = [((), n)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        chosen, rest = pop()
+        while rest:
+            largest = 0
+            for part in parts:
+                if part > rest:
+                    break
+                if largest:
+                    push((chosen + (largest,), rest - largest))
+                largest = part
+            chosen += (largest,)
+            rest -= largest
+        yield chosen
 
 
 def comp_to_path(q: RationalParam, parts: tuple[int, ...]) -> DyckPath:
@@ -105,6 +154,14 @@ def _comp_text(q: RationalParam, parts: tuple[int, ...], pieces: dict[int, str])
         if part not in pieces:
             pieces[part] = _piece(q, part)
     return "".join([pieces[part] for part in parts]) + "UD"
+
+
+def _composes(q: RationalParam, pieces: dict[int, str], comps: list[tuple[int, ...]], texts: list[str]) -> bool:
+    """Whether ``_comp_text`` sends ``comps`` onto ``texts`` and
+    ``_text_parts`` sends them back, position by position; ``pieces`` is
+    ``_comp_text``'s table, shared across calls."""
+    images = [_comp_text(q, comp, pieces) for comp in comps]
+    return images == texts and [_text_parts(q, text) for text in texts] == comps
 
 
 def _text_parts(q: RationalParam, text: str) -> tuple[int, ...] | None:

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -43,6 +44,53 @@ def patch_core(monkeypatch, module, name, fn):
     assert getattr(rdyck.cli, name) is getattr(module, name)
     monkeypatch.setattr(module, name, fn)
     monkeypatch.setattr(rdyck.cli, name, fn)
+
+
+class Discard:
+    """A stdout that counts what is written to it and keeps none of it."""
+
+    written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+
+def losing_blocks(path_class, n, lost):
+    """``_member_blocks`` with the first text of ``path_class`` at ``n`` left
+    out, at every call; the text left out is kept in ``lost``."""
+    real = rdyck.cli._member_blocks
+
+    def blocks(q, family, m):
+        stream = real(q, family, m)
+        if (family, m) == (path_class, n):
+            joined, count = next(stream)
+            first, _, rest = joined.partition("\n")
+            lost[:] = [first]
+            if count > 1:
+                yield rest, count - 1
+        yield from stream
+
+    return blocks
+
+
+def losing_chunks(path_class, n, lost, text=None):
+    """``_oracle_chunks`` with ``text``, or else the first text, of
+    ``path_class`` at ``n`` left out, at every call; the text left out is
+    kept in ``lost``."""
+    real = rdyck.classes._oracle_chunks
+
+    def chunks(q, m):
+        losing = m == n
+        for chunk in real(q, m):
+            texts = chunk[path_class]
+            if losing and (text in texts if text else texts):
+                index = texts.index(text) if text else 0
+                lost[:] = [texts.pop(index)]
+                losing = False
+            yield chunk
+
+    return chunks
 
 
 def swapping_core(name):
@@ -189,13 +237,6 @@ class TestBlocks:
         assert invoke(capsys, *argv, "--format", "json") == (1, '["UDUD", "UUUDDD"', f"error: {error}\n")
 
     def test_memory_is_bounded(self, monkeypatch):
-        class Discard:
-            written = 0
-
-            def write(self, text):
-                self.written += len(text)
-                return len(text)
-
         sink = Discard()
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
@@ -263,13 +304,6 @@ class TestSeries:
         assert series == count == (0, expected + "\n", "")
 
     def test_memory_is_bounded(self, monkeypatch):
-        class Discard:
-            written = 0
-
-            def write(self, text):
-                self.written += len(text)
-                return len(text)
-
         table = series_coeffs(rational_gf(RationalParam(1, 1)), 4000)
         table_bytes = sum(map(sys.getsizeof, table))
         sink = Discard()
@@ -501,11 +535,54 @@ ok bijection
 
 VERIFY_3_2 = VERIFY_3_4.replace("ok bijection", "ok collisions")
 
+# One text lost from the oracle's families, past their first _BLOCK_SIZE
+# candidates (the 257th at quasi 3/2@13, the 258th at restricted 3/4@12), and
+# the whole output of verify for that loss, as a verify that held the whole
+# families printed it.
+LOSS_PAST_FIRST_CHUNK_3_2 = (
+    "UUDUDDUDUDUUDDUDUUDDUUDDUD",
+    """ok generation rational
+ok counts rational
+ok generation restricted
+ok counts restricted
+FAIL generation quasi: n=13 missing=[] extra=['UUDUDDUDUDUUDDUDUUDDUUDDUD']
+FAIL counts quasi: enumeration=1,1,2,4,7,13,23,42,76,138,250,453,821,1487 \
+recurrence=1,1,2,4,7,13,23,42,76,138,250,453,821,1488 series=1,1,2,4,7,13,23,42,76,138,250,453,821,1488
+FAIL intersection: n=13 witnesses=['UUDUDDUDUDUUDDUDUUDDUUDDUD']
+ok compositions unbounded
+ok compositions bounded
+ok collisions
+""",
+)
+LOSS_PAST_FIRST_CHUNK_3_4 = (
+    "UDUDUUDDUDUUDUDDUDUDUDUD",
+    """ok generation rational
+ok counts rational
+FAIL generation restricted: n=12 missing=[] extra=['UDUDUUDDUDUUDUDDUDUDUDUD']
+FAIL counts restricted: enumeration=1,1,1,1,2,3,5,8,13,21,33,53,84 \
+recurrence=1,1,1,1,2,3,5,8,13,21,33,53,85 series=1,1,1,1,2,3,5,8,13,21,33,53,85
+ok generation quasi
+ok counts quasi
+FAIL intersection: n=12 witnesses=['UDUDUUDDUDUUDUDDUDUDUDUD']
+ok compositions unbounded
+FAIL compositions bounded: n=11 compositions=85 paths=84
+FAIL bijection: n=10 domain=85 codomain=84
+""",
+)
+
 
 class TestVerify:
     @pytest.mark.parametrize("qtext,expected", [("3/4", VERIFY_3_4), ("3/2", VERIFY_3_2)], ids=["3/4", "3/2"])
     def test_full_output(self, capsys, qtext, expected):
         assert invoke(capsys, "verify", "--q", qtext, "--nmax", "8") == (0, expected, "")
+
+    @pytest.mark.parametrize("size", [1, 7])
+    def test_chunk_size_does_not_show(self, capsys, monkeypatch, size):
+        # the oracle's chunks of one or a few candidates: the slices of every
+        # paired stream end elsewhere, and the output stays the same
+        monkeypatch.setattr(rdyck.classes, "_BLOCK_SIZE", size)
+        for qtext, expected in (("3/4", VERIFY_3_4), ("3/2", VERIFY_3_2)):
+            assert invoke(capsys, "verify", "--q", qtext, "--nmax", "8") == (0, expected, "")
 
     @pytest.mark.parametrize("qtext,expected", [("3/4", VERIFY_3_4), ("3/2", VERIFY_3_2)], ids=["3/4", "3/2"])
     def test_verify_builds_no_family_of_paths(self, capsys, monkeypatch, qtext, expected):
@@ -519,48 +596,44 @@ class TestVerify:
         assert invoke(capsys, "verify", "--q", qtext, "--nmax", "8") == (0, expected, "")
 
     def test_generation_failure_is_reported_once(self, capsys, monkeypatch):
-        # drop one text from the first restricted n=3 generation only: every
-        # other check reads the oracle's texts, so only the generation check
-        # sees it
-        real = rdyck.cli._member_texts
+        # the generator loses one text of restricted n=3: every other check
+        # reads the oracle's texts, so only the generation check sees it
         dropped = []
-
-        def lossy(q, path_class, n):
-            texts = real(q, path_class, n)
-            if path_class is PathClass.RESTRICTED and n == 3 and not dropped:
-                dropped.append(texts[0])
-                return texts[1:]
-            return texts
-
-        real_oracle = rdyck.cli.oracle_generate
+        monkeypatch.setattr(rdyck.cli, "_member_blocks", losing_blocks(PathClass.RESTRICTED, 3, dropped))
+        real_chunks = rdyck.classes._oracle_chunks
         oracle_calls = []
 
-        def recorded_oracle(q, n):
+        def recorded_chunks(q, n):
             oracle_calls.append(n)
-            return real_oracle(q, n)
+            return real_chunks(q, n)
 
-        monkeypatch.setattr(rdyck.cli, "_member_texts", lossy)
-        monkeypatch.setattr(rdyck.cli, "oracle_generate", recorded_oracle)
+        patch_core(monkeypatch, rdyck.classes, "_oracle_chunks", recorded_chunks)
         code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
         assert code == 1
         failure = f"FAIL generation restricted: n=3 missing={dropped} extra=[]"
         assert out == VERIFY_3_4.replace("ok generation restricted", failure)
         assert out.count("FAIL") == 1
-        # one oracle call per semilength, in order, for all three families
-        assert oracle_calls == list(range(9))
+        # per semilength, in order: one oracle stream for all three families,
+        # one at n - t - 1 = n - 2 for the bijection, and at n=3 one more
+        # call, in full, for the failed check's witness
+        expected = []
+        for n in range(9):
+            expected += [n - 2] * (n >= 2) + [n] * (1 + (n == 3))
+        assert oracle_calls == expected
 
     def test_generation_extra_is_reported(self, capsys, monkeypatch):
         # the generator yields one text the oracle lacks at quasi n=4: the
         # path climbs to level three, so no family has it; it is named as
         # extra, and every other check, which reads the oracle's members,
         # still passes
-        real = rdyck.cli._member_texts
+        real = rdyck.cli._member_blocks
 
         def padded(q, path_class, n):
-            texts = real(q, path_class, n)
-            return texts + ("UUUDUDDD",) if path_class is PathClass.QUASI and n == 4 else texts
+            yield from real(q, path_class, n)
+            if path_class is PathClass.QUASI and n == 4:
+                yield "UUUDUDDD", 1
 
-        monkeypatch.setattr(rdyck.cli, "_member_texts", padded)
+        monkeypatch.setattr(rdyck.cli, "_member_blocks", padded)
         code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
         assert code == 1
         failure = "FAIL generation quasi: n=4 missing=[] extra=['UUUDUDDD']"
@@ -568,34 +641,18 @@ class TestVerify:
         assert out.count("FAIL") == 1
 
     def test_intersection_reads_the_checked_families(self, capsys, monkeypatch):
-        # the generator and the oracle each lose the same restricted path at
-        # their one call for n=3, so the generation check passes; the
-        # restricted counts (whose enumeration row is the oracle's sizes),
-        # the intersection check, the bounded composition check (at
-        # compositions of 2) and the bijection check (from quasi n=1, t = 1)
-        # read the oracle's tuples, and see it
-        real_texts, real_oracle = rdyck.cli._member_texts, rdyck.cli.oracle_generate
-        lost = []
-
-        def losing_texts(q, path_class, n):
-            texts = real_texts(q, path_class, n)
-            if path_class is PathClass.RESTRICTED and n == 3:
-                assert [texts[0]] == lost
-                return texts[1:]
-            return texts
-
-        def losing_oracle(q, n):
-            # the oracle gives step texts, and runs first at each n
-            split = real_oracle(q, n)
-            if n == 3:
-                lost[:] = split[PathClass.RESTRICTED][:1]
-                split[PathClass.RESTRICTED] = split[PathClass.RESTRICTED][1:]
-            return split
-
-        monkeypatch.setattr(rdyck.cli, "_member_texts", losing_texts)
-        monkeypatch.setattr(rdyck.cli, "oracle_generate", losing_oracle)
+        # the generator and the oracle's stream each lose the same restricted
+        # path at n=3, so the generation check passes; the restricted counts
+        # (whose enumeration row is the stream's length), the intersection
+        # check, the bounded composition check (at compositions of 2) and the
+        # bijection check (from quasi n=1, t = 1) read the oracle's texts,
+        # and see it
+        dropped, lost = [], []
+        monkeypatch.setattr(rdyck.cli, "_member_blocks", losing_blocks(PathClass.RESTRICTED, 3, dropped))
+        patch_core(monkeypatch, rdyck.classes, "_oracle_chunks", losing_chunks(PathClass.RESTRICTED, 3, lost))
         code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
         assert code == 1
+        assert dropped == lost
         failure = f"FAIL intersection: n=3 witnesses={lost}"
         rows = "enumeration=1,1,1,0,2,3,5,8,13 recurrence={0} series={0}".format("1,1,1,1,2,3,5,8,13")
         composition_failure = "FAIL compositions bounded: n=2 compositions=1 paths=0"
@@ -607,10 +664,12 @@ class TestVerify:
 
     @pytest.mark.parametrize("nmax,extra", [(8, []), (1, [(PathClass.RESTRICTED, 3)])], ids=["8", "1"])
     def test_round_trips_read_the_loop_families(self, capsys, monkeypatch, nmax, extra):
-        # only the generation loop calls _member_texts; past it, only n = 0 when
-        # nmax <= t, whose images lie past nmax (t = 2 at 1/3); the families
-        # are never built again, through check_bijection or otherwise
+        # only the generation loop reads _member_blocks, once per family and
+        # n; past it, only n = 0 when nmax <= t, whose images lie past nmax
+        # (t = 2 at 1/3), builds a family by _member_texts; the families are
+        # never built again, through check_bijection or otherwise
         calls = []
+        texts = []
         rebuilt = []
 
         def recorded(real, log):
@@ -620,20 +679,24 @@ class TestVerify:
 
             return call
 
-        monkeypatch.setattr(rdyck.cli, "_member_texts", recorded(rdyck.cli._member_texts, calls))
+        monkeypatch.setattr(rdyck.cli, "_member_blocks", recorded(rdyck.cli._member_blocks, calls))
+        monkeypatch.setattr(rdyck.cli, "_member_texts", recorded(rdyck.cli._member_texts, texts))
         monkeypatch.setattr(rdyck.bijection, "_member_texts", recorded(rdyck.bijection._member_texts, rebuilt))
         monkeypatch.setattr(rdyck.classes, "generate", recorded(rdyck.classes.generate, rebuilt))
         monkeypatch.setattr(rdyck.cli, "check_bijection", recorded(rdyck.cli.check_bijection, rebuilt))
         code, out, _ = invoke(capsys, "verify", "--q", "1/3", "--nmax", str(nmax))
         assert code == 0
         assert out.splitlines()[-1] == "ok bijection"
-        assert calls == [(path_class, n) for n in range(nmax + 1) for path_class in PathClass] + extra
+        assert calls == [(path_class, n) for n in range(nmax + 1) for path_class in PathClass]
+        assert texts == extra
         assert rebuilt == []
 
     @pytest.mark.parametrize("qtext,expected", [("3/4", VERIFY_3_4), ("3/2", VERIFY_3_2)], ids=["3/4", "3/2"])
     def test_each_family_is_walked_once_per_semilength(self, capsys, monkeypatch, qtext, expected):
         # the generation check builds each (family, n) once, and the counts
-        # read the oracle's sizes, so nothing walks a family a second time
+        # read the oracle's stream lengths, so nothing walks a family a second
+        # time; a walk starts when its texts are first read, so the order
+        # within one n is the order of the oracle's chunks
         real = rdyck.classes._member_walk
         walked = []
 
@@ -643,22 +706,17 @@ class TestVerify:
 
         monkeypatch.setattr(rdyck.classes, "_member_walk", recorded)
         assert invoke(capsys, "verify", "--q", qtext, "--nmax", "8") == (0, expected, "")
-        assert walked == [(path_class, n) for n in range(9) for path_class in PathClass]
+        expected = [(path_class, n) for n in range(9) for path_class in PathClass]
+        order = list(PathClass)
+        assert sorted(walked, key=lambda pair: (pair[1], order.index(pair[0]))) == expected
 
     def test_counts_read_the_oracle(self, capsys, monkeypatch):
         # the oracle loses one quasi member at n=5 and the generator does
         # not: the generation check names it as extra, and the counts line
         # shows that the oracle's own count is the one off; the path is quasi
         # but not rational, so the intersection still holds
-        real_oracle = rdyck.cli.oracle_generate
-
-        def losing_oracle(q, n):
-            split = real_oracle(q, n=n)
-            if n == 5:
-                split[PathClass.QUASI] = tuple(text for text in split[PathClass.QUASI] if text != "UUDUDUDDUD")
-            return split
-
-        monkeypatch.setattr(rdyck.cli, "oracle_generate", losing_oracle)
+        lost = []
+        patch_core(monkeypatch, rdyck.classes, "_oracle_chunks", losing_chunks(PathClass.QUASI, 5, lost, "UUDUDUDDUD"))
         code, out, _ = invoke(capsys, "verify", "--q", "3/2", "--nmax", "8")
         assert code == 1
         rows = "enumeration=1,1,2,4,7,12,23,42,76 recurrence={0} series={0}".format("1,1,2,4,7,13,23,42,76")
@@ -666,6 +724,55 @@ class TestVerify:
             "ok generation quasi", "FAIL generation quasi: n=5 missing=[] extra=['UUDUDUDDUD']"
         )
         assert out == expected.replace("ok counts quasi", f"FAIL counts quasi: {rows}")
+        assert lost == ["UUDUDUDDUD"]
+
+    @pytest.mark.parametrize(
+        "qtext,nmax,path_class,text,expected",
+        [
+            ("3/2", 13, PathClass.QUASI, *LOSS_PAST_FIRST_CHUNK_3_2),
+            ("3/4", 12, PathClass.RESTRICTED, *LOSS_PAST_FIRST_CHUNK_3_4),
+        ],
+        ids=["3/2", "3/4"],
+    )
+    def test_loss_past_the_first_chunk(self, capsys, monkeypatch, qtext, nmax, path_class, text, expected):
+        # the oracle's stream loses one text of its second chunk: the streamed
+        # checks find it there, and each failed check is rebuilt in full, so
+        # the lines are those that a verify holding whole families printed
+        # for the same loss (taken from one, and pinned)
+        q = RationalParam.from_string(qtext)
+        first, *rest = rdyck.classes._oracle_chunks(q, nmax)
+        assert text not in first[path_class]
+        assert any(text in chunk[path_class] for chunk in rest)
+        lost = []
+        patch_core(monkeypatch, rdyck.classes, "_oracle_chunks", losing_chunks(path_class, nmax, lost, text))
+        assert invoke(capsys, "verify", "--q", qtext, "--nmax", str(nmax)) == (1, expected, "")
+        assert lost == [text]
+
+    @pytest.mark.parametrize("qtext,small,large", [("3/2", 12, 15), ("3/4", 15, 18)], ids=["3/2", "3/4"])
+    def test_memory_does_not_grow_with_the_families(self, monkeypatch, qtext, small, large):
+        # the families grow about 1.8 (3/2) and 1.6 (3/4) times per unit of
+        # n, and a verify that held them peaked about 8 (3/2) and 4.4 (3/4)
+        # times higher at the larger nmax; streamed, the peak grows only
+        # with the text length.
+        # At 3/4 the generator's three walk tables, bounded by _TABLE_CHARS
+        # and not by n, are still filling up to n = 15, so the pair starts
+        # there.  One untraced run first fills the interpreter's free lists,
+        # and the cyclic collector is off while tracing, since a full
+        # collection empties those lists at a point that varies by run.
+        monkeypatch.setattr(sys, "stdout", Discard())
+
+        def peak(nmax):
+            gc.disable()
+            tracemalloc.start()
+            try:
+                assert run(["verify", "--q", qtext, "--nmax", str(nmax)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+
+        assert run(["verify", "--q", qtext, "--nmax", str(large)]) == 0
+        assert peak(large) <= 1.5 * peak(small)
 
     def test_rational_counts_name_the_route_that_disagrees(self, capsys, monkeypatch):
         # the unreduced closed form swapped for the compositions one, and the

@@ -248,13 +248,6 @@ def _phi_inv_text(q: RationalParam, t: int, text: str) -> str:
     return _render_blocks((*head, (peaks, valleys)))
 
 
-def _phi_maps(q: RationalParam, t: int, domain: list[str], codomain: list[str]) -> bool:
-    """Whether ``_phi_text`` sends ``domain`` onto ``codomain`` and
-    ``_phi_inv_text`` sends them back, position by position."""
-    images = [_phi_text(q, t, text) for text in domain]
-    return images == codomain and [_phi_inv_text(q, t, text) for text in codomain] == domain
-
-
 def _apply(q: RationalParam, t: int, text: str) -> str:
     """``_phi_text``, with the image checked to be a restricted member."""
     image = _phi_text(q, t, text)

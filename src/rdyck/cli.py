@@ -11,14 +11,13 @@ RDYCK_MAX_N that is not a non-negative integer, whatever the command).
 from __future__ import annotations
 
 import argparse
-import operator
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import partial
 from itertools import chain, islice
 
-from rdyck.bijection import _phi_inv_text, _phi_maps, _phi_text, check_bijection, collision_pair, phi, phi_inv
+from rdyck.bijection import _phi_inv_text, _phi_text, check_bijection, collision_pair, phi, phi_inv
 from rdyck.classes import (
     PathClass,
     _block_texts,
@@ -30,11 +29,9 @@ from rdyck.classes import (
 )
 from rdyck.compositions import (
     _comp_text,
-    _composes,
     _descending_compositions,
     _text_parts,
     comp_to_path,
-    enumerate_compositions,
     path_to_comp,
 )
 from rdyck.core import DyckPath, RationalParam, _parse_int, semilength, valley_slope
@@ -272,62 +269,78 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # n outermost: one oracle stream per semilength sorts its candidates into
     # all three families, as step texts in U<D order, chunk by chunk, and
     # every check reads each chunk as it comes, so no family is held whole.
-    # A check that pairs a family with a stream of its own, by position,
-    # compares each chunk with an equal-length slice of that stream: the
-    # generator's texts, the compositions of n - 1 largest part first (which
-    # comp_to_path sends onto the family in U<D order), and, where
-    # s = t*r + 1, a second oracle stream's quasi texts at n - t - 1, which
-    # phi sends onto the restricted family at n.  The maps run on the texts
-    # through their private cores, so no path object is built.  The counts'
-    # enumeration rows are the streams' lengths.  A check that fails at n is
-    # rebuilt once, in full, from oracle_generate, so its line names its
-    # witness as the whole families would.
+    # A check that pairs a family with a stream of its own, by position, is
+    # one fault function of its stream's texts and the family's, "" while
+    # they agree.  The streams are the generator's texts, the compositions
+    # of n - 1 largest part first (which comp_to_path sends onto the family
+    # in U<D order), and, where s = t*r + 1, a second oracle stream's quasi
+    # texts at n - t - 1, which phi sends onto the restricted family at n.
+    # The function is called on each chunk with an equal-length slice of the
+    # stream, and, for a check that fails at n, once more on its whole
+    # stream and the whole family, so the line it prints names its witness
+    # as the whole families would.  The maps run on the texts through their
+    # private cores, so no path object is built.  The intersection's
+    # witnesses are gathered chunk by chunk, and the counts' enumeration
+    # rows are the streams' lengths.
+    def generated(path_class: PathClass, m: int) -> Iterator[str]:
+        return _block_texts(_member_blocks(q, path_class, m))
+
+    def quasi(m: int) -> Iterator[str]:
+        return chain.from_iterable(chunk[PathClass.QUASI] for chunk in _oracle_chunks(q, m))
+
     sizes: dict[PathClass, list[int]] = {path_class: [] for path_class in PathClass}
     for n in range(nmax + 1):
-        # check name -> (the family it pairs, its own stream, and whether a
-        # slice of that stream agrees with the family's texts in a chunk)
-        pairings = {}
-        for path_class in PathClass:
-            name = f"generation {path_class.value}"
-            if not faults[name]:
-                pairings[name] = (path_class, _block_texts(_member_blocks(q, path_class, n)), operator.eq)
+        # check name -> (the family it pairs, a maker of its own stream, and
+        # its fault function)
+        checks = {
+            f"generation {family.value}": (family, partial(generated, family, n), partial(_generation_fault, n))
+            for family in PathClass
+        }
         if n:
-            composes = partial(_composes, q, {})
+            composition = partial(_composition_fault, q, {}, n - 1)
             for name, (finite, path_class) in part_sets.items():
-                if not faults[name]:
-                    pairings[name] = (path_class, _descending_compositions(q, finite, n - 1), composes)
-        if bijective and n > t and not faults["bijection"]:
-            domain = chain.from_iterable(chunk[PathClass.QUASI] for chunk in _oracle_chunks(q, n - t - 1))
-            pairings["bijection"] = (PathClass.RESTRICTED, domain, partial(_phi_maps, q, t))
-        meets = not faults["intersection"]
+                checks[name] = (path_class, partial(_descending_compositions, q, finite, n - 1), composition)
+        if bijective and n > t:
+            checks["bijection"] = (
+                PathClass.RESTRICTED, partial(quasi, n - t - 1), partial(_bijection_fault, q, t, n - t - 1)
+            )
+        streams = {name: make() for name, (_, make, _) in checks.items() if not faults[name]}
+        witnesses: set[str] = set()
         failed = []
         for counts in sizes.values():
             counts.append(0)
         for chunk in _oracle_chunks(q, n):
             for path_class, texts in chunk.items():
                 sizes[path_class][-1] += len(texts)
-            if meets:
-                meet = set(chunk[PathClass.RATIONAL]).intersection(chunk[PathClass.QUASI])
-                if meet != set(chunk[PathClass.RESTRICTED]):
-                    meets = False
-                    failed.append("intersection")
-            for name, (path_class, stream, agree) in list(pairings.items()):
+            # each candidate lies in one chunk, so these add up to the whole
+            # families' witnesses
+            meet = set(chunk[PathClass.RATIONAL]).intersection(chunk[PathClass.QUASI])
+            witnesses |= meet.symmetric_difference(chunk[PathClass.RESTRICTED])
+            for name, stream in list(streams.items()):
+                path_class, _, fault = checks[name]
                 texts = chunk[path_class]
-                if not agree(list(islice(stream, len(texts))), texts):
-                    del pairings[name]
+                if fault(list(islice(stream, len(texts))), texts):
+                    del streams[name]
                     failed.append(name)
         # a stream that runs on past its family fails its check too
-        failed += [name for name, (_, stream, _) in pairings.items() if next(stream, None) is not None]
+        failed += [name for name, stream in streams.items() if next(stream, None) is not None]
+        if witnesses and not faults["intersection"]:
+            faults["intersection"] = f"n={n} witnesses={sorted(witnesses)}"
         if failed:
-            faults.update(_faults_in_full(q, n, t, part_sets, failed))
+            # n by keyword, which perfbench/spans.py reads as the semilength
+            oracle = oracle_generate(q, n=n)
+            for name in failed:
+                path_class, make, fault = checks[name]
+                faults[name] = fault(list(make()), list(oracle[path_class]))
     if nmax == 0:
-        # the compositions of 0 are checked all the same, onto semilength 1
-        for name, (finite, path_class) in part_sets.items():
-            faults[name] = _composition_fault(q, finite, 0, _member_texts(q, path_class, 1))
+        # the one composition of 0 is checked all the same, onto semilength 1
+        for name, (_, path_class) in part_sets.items():
+            faults[name] = _composition_fault(q, {}, 0, [()], list(_member_texts(q, path_class, 1)))
     if bijective and nmax <= t:
         # n = 0 is checked all the same, onto images past nmax
-        domain = oracle_generate(q, n=0)[PathClass.QUASI]
-        faults["bijection"] = _bijection_fault(q, t, 0, domain, _member_texts(q, PathClass.RESTRICTED, t + 1))
+        domain = list(quasi(0))
+        codomain = list(_member_texts(q, PathClass.RESTRICTED, t + 1))
+        faults["bijection"] = _bijection_fault(q, t, 0, domain, codomain)
 
     for path_class in PathClass:
         enum = tuple(sizes[path_class])
@@ -374,70 +387,65 @@ def _line(counts: tuple[int, ...]) -> str:
     return ",".join(map(str, counts))
 
 
-def _faults_in_full(
-    q: RationalParam, n: int, t: int, part_sets: dict[str, tuple[bool, PathClass]], failed: list[str]
-) -> dict[str, str]:
-    """The fault texts of the checks in ``failed`` at semilength ``n``, from
-    the whole families: one more oracle call, by ``oracle_generate``, and
-    the generator's texts, built again, for a failed generation check."""
-    # n by keyword, which perfbench/spans.py reads as the semilength
-    oracle = oracle_generate(q, n=n)
-    faults = {}
-    for name in failed:
-        check, _, family = name.partition(" ")
-        if check == "generation":
-            path_class = PathClass(family)
-            checked, built = oracle[path_class], tuple(_block_texts(_member_blocks(q, path_class, n)))
-            built_set, checked_set = set(built), set(checked)
-            missing = [text for text in checked if text not in built_set]
-            extra = [text for text in built if text not in checked_set]
-            faults[name] = f"n={n} missing={missing} extra={extra}"
-        elif check == "intersection":
-            meet = set(oracle[PathClass.RATIONAL]).intersection(oracle[PathClass.QUASI])
-            expected = set(oracle[PathClass.RESTRICTED])
-            faults[name] = f"n={n} witnesses={sorted(meet ^ expected)}"
-        elif check == "compositions":
-            finite, path_class = part_sets[name]
-            faults[name] = _composition_fault(q, finite, n - 1, oracle[path_class])
-        else:
-            domain = oracle_generate(q, n=n - t - 1)[PathClass.QUASI]
-            faults[name] = _bijection_fault(q, t, n - t - 1, domain, oracle[PathClass.RESTRICTED])
-    return faults
+def _generation_fault(n: int, built: list[str], checked: list[str]) -> str:
+    """The fault of the generator's texts ``built`` against the oracle's
+    ``checked``, one family at semilength ``n`` in U<D order or equal-length
+    slices of it: "" when the lists are equal, else the texts each lacks.
+    Both are lists on every call, since a list never equals a tuple: with a
+    tuple, texts that agree would fail and name no text missing or extra."""
+    if built == checked:
+        return ""
+    built_set, checked_set = set(built), set(checked)
+    missing = [text for text in checked if text not in built_set]
+    extra = [text for text in built if text not in checked_set]
+    return f"n={n} missing={missing} extra={extra}"
 
 
-def _composition_fault(q: RationalParam, finite: bool, n: int, texts: tuple[str, ...]) -> str:
-    """The first fault of the composition maps between the compositions of
-    ``n`` over the full part set, or the capped one when ``finite``, and
-    ``texts``, the family of semilength n+1 in U<D order; empty when there is
-    none.  ``comp_to_path`` reverses that order, so the pass pairs them from
-    the end; each image in place and mapped back proves both maps bijective
-    and each the other's inverse.  The pass calls the maps' cores, with one
-    table of pieces for all its compositions.  The compositions are part
-    tuples; a faulty one is named in ``map``'s text format."""
-    comps = enumerate_compositions(q, finite, n)
+def _composition_fault(
+    q: RationalParam, pieces: dict[int, str], n: int, comps: list[tuple[int, ...]], texts: list[str]
+) -> str:
+    """The first fault of the composition maps between ``comps``, the
+    compositions of ``n`` largest part first, and ``texts``, the family of
+    semilength n+1 in U<D order (or equal-length slices of both), which
+    ``comp_to_path`` pairs by position; "" when there is none.  Each image
+    in place and mapped back proves both maps bijective and each the other's
+    inverse.  The maps run through their cores, with ``pieces`` as
+    ``_comp_text``'s table; a faulty composition is named in ``map``'s text
+    format.  Whole lists are compared first, and only on a mismatch is the
+    witness sought, from the end: the first fault in lexicographic order is
+    the last in this one.  Both arguments are lists on every call, since a
+    list never equals a tuple: with a tuple, the comparison would fail where
+    every pair agrees, the search would meet no witness, and a check whose
+    chunk had failed would print ``ok``."""
     if len(comps) != len(texts):
         return f"n={n} compositions={len(comps)} paths={len(texts)}"
-    pieces: dict[int, str] = {}
-    for comp, text in zip(comps, reversed(texts)):
-        if _comp_text(q, comp, pieces) != text:
+    images = [_comp_text(q, comp, pieces) for comp in comps]
+    if images == texts and [_text_parts(q, text) for text in texts] == comps:
+        return ""
+    for comp, image, text in zip(reversed(comps), reversed(images), reversed(texts)):
+        if image != text:
             return f"n={n} composition={_composition_text(comp)}"
         if _text_parts(q, text) != comp:
             return f"n={n} path={text}"
     return ""
 
 
-def _bijection_fault(q: RationalParam, t: int, n: int, domain: tuple[str, ...], codomain: tuple[str, ...]) -> str:
+def _bijection_fault(q: RationalParam, t: int, n: int, domain: list[str], codomain: list[str]) -> str:
     """The first fault of the quasi->restricted map from semilength ``n``, where
     ``domain`` and ``codomain`` are the oracle's texts of the quasi family at
-    n and the restricted family at n + t + 1; empty when there is none.
-    ``phi`` keeps U<D order (see :mod:`rdyck.bijection`), so the pass pairs
-    them by position, and maps each through the cores of ``phi`` and
-    ``phi_inv``: an image is mapped back only once it equals its restricted
-    member."""
+    n and the restricted family at n + t + 1, or equal-length slices of
+    both; "" when there is none.  ``phi`` keeps U<D order (see
+    :mod:`rdyck.bijection`), so they pair by position, through the cores of
+    ``phi`` and ``phi_inv``: an image is mapped back only once it equals its
+    restricted member.  The pass compares whole lists, and only on a
+    mismatch looks for the first fault; both arguments are lists, for the
+    reason :func:`_composition_fault` gives."""
     if len(domain) != len(codomain):
         return f"n={n} domain={len(domain)} codomain={len(codomain)}"
-    for text, expected in zip(domain, codomain):
-        image = _phi_text(q, t, text)
+    images = [_phi_text(q, t, text) for text in domain]
+    if images == codomain and [_phi_inv_text(q, t, image) for image in images] == domain:
+        return ""
+    for text, image, expected in zip(domain, images, codomain):
         if image != expected or _phi_inv_text(q, t, image) != text:
             return f"n={n} path={text}"
     return ""

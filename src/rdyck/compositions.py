@@ -156,14 +156,6 @@ def _comp_text(q: RationalParam, parts: tuple[int, ...], pieces: dict[int, str])
     return "".join([pieces[part] for part in parts]) + "UD"
 
 
-def _composes(q: RationalParam, pieces: dict[int, str], comps: list[tuple[int, ...]], texts: list[str]) -> bool:
-    """Whether ``_comp_text`` sends ``comps`` onto ``texts`` and
-    ``_text_parts`` sends them back, position by position; ``pieces`` is
-    ``_comp_text``'s table, shared across calls."""
-    images = [_comp_text(q, comp, pieces) for comp in comps]
-    return images == texts and [_text_parts(q, text) for text in texts] == comps
-
-
 def _text_parts(q: RationalParam, text: str) -> tuple[int, ...] | None:
     """The composition whose image is ``text``, or None when ``text`` is not
     a rational-family member.

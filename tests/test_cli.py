@@ -569,6 +569,24 @@ FAIL compositions bounded: n=11 compositions=85 paths=84
 FAIL bijection: n=10 domain=85 codomain=84
 """,
 )
+# Two restricted texts lost from the oracle's families at 3/4@12, the first
+# text of its first chunk and one of its second, and the whole output of
+# verify for that loss, as a verify that held the whole families printed it.
+LOSS_IN_TWO_CHUNKS_3_4 = (
+    ("UUDUDUDDUDUDUDUUDDUDUDUD", "UDUDUUDDUDUUDUDDUDUDUDUD"),
+    """ok generation rational
+ok counts rational
+FAIL generation restricted: n=12 missing=[] extra=['UUDUDUDDUDUDUDUUDDUDUDUD', 'UDUDUUDDUDUUDUDDUDUDUDUD']
+FAIL counts restricted: enumeration=1,1,1,1,2,3,5,8,13,21,33,53,83 \
+recurrence=1,1,1,1,2,3,5,8,13,21,33,53,85 series=1,1,1,1,2,3,5,8,13,21,33,53,85
+ok generation quasi
+ok counts quasi
+FAIL intersection: n=12 witnesses=['UDUDUUDDUDUUDUDDUDUDUDUD', 'UUDUDUDDUDUDUDUUDDUDUDUD']
+ok compositions unbounded
+FAIL compositions bounded: n=11 compositions=85 paths=83
+FAIL bijection: n=10 domain=85 codomain=83
+""",
+)
 
 
 class TestVerify:
@@ -614,8 +632,8 @@ class TestVerify:
         assert out == VERIFY_3_4.replace("ok generation restricted", failure)
         assert out.count("FAIL") == 1
         # per semilength, in order: one oracle stream for all three families,
-        # one at n - t - 1 = n - 2 for the bijection, and at n=3 one more
-        # call, in full, for the failed check's witness
+        # one at n - t - 1 = n - 2 for the bijection, and at n=3 one more,
+        # for the whole families the failed check's fault function runs on
         expected = []
         for n in range(9):
             expected += [n - 2] * (n >= 2) + [n] * (1 + (n == 3))
@@ -736,17 +754,34 @@ class TestVerify:
     )
     def test_loss_past_the_first_chunk(self, capsys, monkeypatch, qtext, nmax, path_class, text, expected):
         # the oracle's stream loses one text of its second chunk: the streamed
-        # checks find it there, and each failed check is rebuilt in full, so
-        # the lines are those that a verify holding whole families printed
-        # for the same loss (taken from one, and pinned)
+        # checks find it there, and each failed check's fault function runs
+        # once more on the whole families, so the lines are those that a
+        # verify holding whole families printed for the same loss (taken from
+        # one, and pinned); chunks of one or a few candidates change none
         q = RationalParam.from_string(qtext)
         first, *rest = rdyck.classes._oracle_chunks(q, nmax)
         assert text not in first[path_class]
         assert any(text in chunk[path_class] for chunk in rest)
         lost = []
         patch_core(monkeypatch, rdyck.classes, "_oracle_chunks", losing_chunks(path_class, nmax, lost, text))
-        assert invoke(capsys, "verify", "--q", qtext, "--nmax", str(nmax)) == (1, expected, "")
-        assert lost == [text]
+        for size in (rdyck.classes._BLOCK_SIZE, 1, 7):
+            monkeypatch.setattr(rdyck.classes, "_BLOCK_SIZE", size)
+            assert invoke(capsys, "verify", "--q", qtext, "--nmax", str(nmax)) == (1, expected, ""), size
+            assert lost == [text]
+
+    def test_intersection_gathers_witnesses_from_two_chunks(self, capsys, monkeypatch):
+        # the oracle's stream loses two restricted texts, one in each of its
+        # first two chunks: the intersection check gathers its witnesses
+        # chunk by chunk, with no second pass, and names both, sorted
+        texts, expected = LOSS_IN_TWO_CHUNKS_3_4
+        first, second, *_ = rdyck.classes._oracle_chunks(RationalParam(3, 4), 12)
+        assert first[PathClass.RESTRICTED][0] == texts[0]
+        assert texts[1] in second[PathClass.RESTRICTED]
+        lost = [[], []]
+        for text, log in zip(texts, lost):
+            patch_core(monkeypatch, rdyck.classes, "_oracle_chunks", losing_chunks(PathClass.RESTRICTED, 12, log, text))
+        assert invoke(capsys, "verify", "--q", "3/4", "--nmax", "12") == (1, expected, "")
+        assert lost == [[text] for text in texts]
 
     @pytest.mark.parametrize("qtext,small,large", [("3/2", 12, 15), ("3/4", 15, 18)], ids=["3/2", "3/4"])
     def test_memory_does_not_grow_with_the_families(self, monkeypatch, qtext, small, large):
@@ -805,9 +840,12 @@ class TestVerify:
 
         assert rdyck.cli.phi(RationalParam(3, 4), DyckPath("UUDUDUDDUD")).steps == "UUDUDDUDUDUDUD"
         patch_core(monkeypatch, rdyck.bijection, "_phi_inv_text", faulty)
-        code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
-        assert code == 1
-        assert out == VERIFY_3_4.replace("ok bijection", "FAIL bijection: n=5 path=UUDUDUDDUD")
+        # the oracle's chunks of one or a few candidates name the same path
+        for size in (rdyck.classes._BLOCK_SIZE, 1, 7):
+            monkeypatch.setattr(rdyck.classes, "_BLOCK_SIZE", size)
+            code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
+            assert code == 1
+            assert out == VERIFY_3_4.replace("ok bijection", "FAIL bijection: n=5 path=UUDUDUDDUD"), size
 
     @pytest.mark.parametrize(
         "name,witness",
@@ -818,13 +856,16 @@ class TestVerify:
         # one map's core swaps the compositions 1+4 and 4+1 on its way in or
         # out; both images stay rational members at 1/1, and the part 4 is
         # outside the capped part set {1, 2}, so only the unbounded check
-        # meets them, and it stops at the first, 1+4, or its path UD UUDUDD UD UD
+        # meets them, and it stops at the first, 1+4, or its path UD UUDUDD UD UD,
+        # whatever the size of the oracle's chunks
         patch_core(monkeypatch, rdyck.compositions, name, swapping_core(name))
-        code, out, _ = invoke(capsys, "verify", "--q", "1/1", "--nmax", "8")
-        assert code == 1
         failure = f"FAIL compositions unbounded: n=5 {witness}"
-        assert out == VERIFY_3_4.replace("ok compositions unbounded", failure)
-        assert out.count("FAIL") == 1
+        for size in (rdyck.classes._BLOCK_SIZE, 1, 7):
+            monkeypatch.setattr(rdyck.classes, "_BLOCK_SIZE", size)
+            code, out, _ = invoke(capsys, "verify", "--q", "1/1", "--nmax", "8")
+            assert code == 1
+            assert out == VERIFY_3_4.replace("ok compositions unbounded", failure), size
+            assert out.count("FAIL") == 1
 
     def test_nmax_zero_checks_the_compositions_of_zero(self, capsys, monkeypatch):
         # at nmax 0 the loop maps no composition; the compositions of 0 are

@@ -33,8 +33,8 @@ The walk has one caller, ``_member_blocks``, which checks each block as a
 whole by ``core._low_paths`` in a fixed number of string operations, so every
 member is validated.  ``enumerate``, ``count_enumeration`` and
 ``verify``'s generation check stream the blocks, ``check_bijection`` takes
-one semilength's texts (``_member_texts``), and only ``generate``, which the
-library itself no longer calls, builds a ``DyckPath`` per member.
+one semilength's texts (``_member_texts``), and only ``generate`` builds a
+``DyckPath`` per member.
 
 The oracle is the brute-force route used to differential-test it: an
 exhaustive search over U/D steps with one pruning rule, which sorts each

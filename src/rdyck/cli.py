@@ -6,6 +6,7 @@ mapping) or stdout closed before the output ended (``| head -1``; no
 traceback), 2 usage error (including the enumeration safety cap, default 20,
 raised with --force or the RDYCK_MAX_N environment variable, and an
 RDYCK_MAX_N that is not a non-negative integer, whatever the command).
+``verify``'s checks are in :mod:`rdyck.verify`, which only ``verify`` imports.
 """
 
 from __future__ import annotations
@@ -13,40 +14,21 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterable, Iterator
-from functools import partial
-from itertools import chain, islice
+from collections.abc import Iterable
 
-from rdyck.bijection import _phi_inv_text, _phi_text, check_bijection, collision_pair, phi, phi_inv
-from rdyck.classes import (
-    PathClass,
-    _block_texts,
-    _member_blocks,
-    _member_texts,
-    _oracle_chunks,
-    member,
-    oracle_generate,
-)
-from rdyck.compositions import (
-    _comp_text,
-    _descending_compositions,
-    _text_parts,
-    comp_to_path,
-    path_to_comp,
-)
-from rdyck.core import DyckPath, RationalParam, _parse_int, semilength, valley_slope
+from rdyck.bijection import check_bijection, phi, phi_inv
+from rdyck.classes import PathClass, _member_blocks, member
+from rdyck.compositions import comp_to_path, path_to_comp
+from rdyck.core import DyckPath, RationalParam, _parse_int
 from rdyck.counting import (
     _series_texts,
-    check_sum_identity,
     class_gf,
     compositions_gf,
     count_enumeration,
     count_recurrence,
     quasi_gf,
     rational_gf,
-    rational_gf_unreduced,
     restricted_gf,
-    series_coeffs,
 )
 
 __all__ = ["main", "run"]
@@ -252,203 +234,13 @@ def _cmd_check_bijection(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _ensure_cap(args, args.nmax)
-    q = _q(args)
-    nmax = args.nmax
-    t = (q.s - 1) // q.r
-    bijective = valley_slope(q) is not None
-    part_sets = {
-        "compositions unbounded": (False, PathClass.RATIONAL),
-        "compositions bounded": (True, PathClass.RESTRICTED),
-    }
-    # each check's first fault, "" while it holds, in the order printed
-    faults = dict.fromkeys(
-        [f"{check} {path_class.value}" for path_class in PathClass for check in ("generation", "counts")]
-        + ["intersection", *part_sets, "bijection" if bijective else "collisions"],
-        "",
-    )
-    # n outermost: one oracle stream per semilength sorts its candidates into
-    # all three families, as step texts in U<D order, chunk by chunk, and
-    # every check reads each chunk as it comes, so no family is held whole.
-    # A check that pairs a family with a stream of its own, by position, is
-    # one fault function of its stream's texts and the family's, "" while
-    # they agree.  The streams are the generator's texts, the compositions
-    # of n - 1 largest part first (which comp_to_path sends onto the family
-    # in U<D order), and, where s = t*r + 1, a second oracle stream's quasi
-    # texts at n - t - 1, which phi sends onto the restricted family at n.
-    # The function is called on each chunk with an equal-length slice of the
-    # stream, and, for a check that fails at n, once more on its whole
-    # stream and the whole family, so the line it prints names its witness
-    # as the whole families would.  The maps run on the texts through their
-    # private cores, so no path object is built.  The intersection's
-    # witnesses are gathered chunk by chunk, and the counts' enumeration
-    # rows are the streams' lengths.
-    def generated(path_class: PathClass, m: int) -> Iterator[str]:
-        return _block_texts(_member_blocks(q, path_class, m))
+    # imported here, so that no other command compiles or loads the checks
+    from rdyck.verify import first_faults
 
-    def quasi(m: int) -> Iterator[str]:
-        return chain.from_iterable(chunk[PathClass.QUASI] for chunk in _oracle_chunks(q, m))
-
-    sizes: dict[PathClass, list[int]] = {path_class: [] for path_class in PathClass}
-    for n in range(nmax + 1):
-        # check name -> (the family it pairs, a maker of its own stream, and
-        # its fault function)
-        checks = {
-            f"generation {family.value}": (family, partial(generated, family, n), partial(_generation_fault, n))
-            for family in PathClass
-        }
-        if n:
-            composition = partial(_composition_fault, q, {}, n - 1)
-            for name, (finite, path_class) in part_sets.items():
-                checks[name] = (path_class, partial(_descending_compositions, q, finite, n - 1), composition)
-        if bijective and n > t:
-            checks["bijection"] = (
-                PathClass.RESTRICTED, partial(quasi, n - t - 1), partial(_bijection_fault, q, t, n - t - 1)
-            )
-        streams = {name: make() for name, (_, make, _) in checks.items() if not faults[name]}
-        witnesses: set[str] = set()
-        failed = []
-        for counts in sizes.values():
-            counts.append(0)
-        for chunk in _oracle_chunks(q, n):
-            for path_class, texts in chunk.items():
-                sizes[path_class][-1] += len(texts)
-            # each candidate lies in one chunk, so these add up to the whole
-            # families' witnesses
-            meet = set(chunk[PathClass.RATIONAL]).intersection(chunk[PathClass.QUASI])
-            witnesses |= meet.symmetric_difference(chunk[PathClass.RESTRICTED])
-            for name, stream in list(streams.items()):
-                path_class, _, fault = checks[name]
-                texts = chunk[path_class]
-                if fault(list(islice(stream, len(texts))), texts):
-                    del streams[name]
-                    failed.append(name)
-        # a stream that runs on past its family fails its check too
-        failed += [name for name, stream in streams.items() if next(stream, None) is not None]
-        if witnesses and not faults["intersection"]:
-            faults["intersection"] = f"n={n} witnesses={sorted(witnesses)}"
-        if failed:
-            # n by keyword, which perfbench/spans.py reads as the semilength
-            oracle = oracle_generate(q, n=n)
-            for name in failed:
-                path_class, make, fault = checks[name]
-                faults[name] = fault(list(make()), list(oracle[path_class]))
-    if nmax == 0:
-        # the one composition of 0 is checked all the same, onto semilength 1
-        for name, (_, path_class) in part_sets.items():
-            faults[name] = _composition_fault(q, {}, 0, [()], list(_member_texts(q, path_class, 1)))
-    if bijective and nmax <= t:
-        # n = 0 is checked all the same, onto images past nmax
-        domain = list(quasi(0))
-        codomain = list(_member_texts(q, PathClass.RESTRICTED, t + 1))
-        faults["bijection"] = _bijection_fault(q, t, 0, domain, codomain)
-
-    for path_class in PathClass:
-        enum = tuple(sizes[path_class])
-        rec = count_recurrence(q, path_class, nmax)
-        ser = series_coeffs(class_gf(q, path_class), nmax)
-        agree = enum == rec == ser
-        routes = f"enumeration={_line(enum)} recurrence={_line(rec)} series={_line(ser)}"
-        if path_class is PathClass.RATIONAL:
-            # two more routes, named in the detail only when they disagree
-            unreduced = series_coeffs(rational_gf_unreduced(q), nmax)
-            if unreduced != ser:
-                agree = False
-                routes += f" unreduced={_line(unreduced)}"
-            if not check_sum_identity(q, max(nmax, 1)):
-                agree = False
-                routes += " sum_identity=false"
-        if not agree:
-            faults[f"counts {path_class.value}"] = routes
-
-    if not bijective:
-        try:
-            left, right = collision_pair(q)
-            pair_detail = f"pair {left.steps} {right.steps} does not shift the counts"
-            witness = semilength(left)
-            pair_ok = True
-        except RuntimeError as exc:
-            pair_detail = str(exc)
-            witness = 0
-            pair_ok = False
-        # counts must split no later than the collision's own semilength
-        bound = max(nmax, witness)
-        quasi_counts = count_recurrence(q, PathClass.QUASI, bound)
-        restricted_counts = count_recurrence(q, PathClass.RESTRICTED, bound + t + 1)
-        differs = any(quasi_counts[n] != restricted_counts[n + t + 1] for n in range(bound + 1))
-        if not (differs and pair_ok):
-            faults["collisions"] = pair_detail
-
+    faults = first_faults(_q(args), args.nmax)
     for name, fault in faults.items():
         print(f"FAIL {name}: {fault}" if fault else f"ok {name}")
     return 1 if any(faults.values()) else 0
-
-
-def _line(counts: tuple[int, ...]) -> str:
-    return ",".join(map(str, counts))
-
-
-def _generation_fault(n: int, built: list[str], checked: list[str]) -> str:
-    """The fault of the generator's texts ``built`` against the oracle's
-    ``checked``, one family at semilength ``n`` in U<D order or equal-length
-    slices of it: "" when the lists are equal, else the texts each lacks.
-    Both are lists on every call, since a list never equals a tuple: with a
-    tuple, texts that agree would fail and name no text missing or extra."""
-    if built == checked:
-        return ""
-    built_set, checked_set = set(built), set(checked)
-    missing = [text for text in checked if text not in built_set]
-    extra = [text for text in built if text not in checked_set]
-    return f"n={n} missing={missing} extra={extra}"
-
-
-def _composition_fault(
-    q: RationalParam, pieces: dict[int, str], n: int, comps: list[tuple[int, ...]], texts: list[str]
-) -> str:
-    """The first fault of the composition maps between ``comps``, the
-    compositions of ``n`` largest part first, and ``texts``, the family of
-    semilength n+1 in U<D order (or equal-length slices of both), which
-    ``comp_to_path`` pairs by position; "" when there is none.  Each image
-    in place and mapped back proves both maps bijective and each the other's
-    inverse.  The maps run through their cores, with ``pieces`` as
-    ``_comp_text``'s table; a faulty composition is named in ``map``'s text
-    format.  Whole lists are compared first, and only on a mismatch is the
-    witness sought, from the end: the first fault in lexicographic order is
-    the last in this one.  Both arguments are lists on every call, since a
-    list never equals a tuple: with a tuple, the comparison would fail where
-    every pair agrees, the search would meet no witness, and a check whose
-    chunk had failed would print ``ok``."""
-    if len(comps) != len(texts):
-        return f"n={n} compositions={len(comps)} paths={len(texts)}"
-    images = [_comp_text(q, comp, pieces) for comp in comps]
-    if images == texts and [_text_parts(q, text) for text in texts] == comps:
-        return ""
-    for comp, image, text in zip(reversed(comps), reversed(images), reversed(texts)):
-        if image != text:
-            return f"n={n} composition={_composition_text(comp)}"
-        if _text_parts(q, text) != comp:
-            return f"n={n} path={text}"
-    return ""
-
-
-def _bijection_fault(q: RationalParam, t: int, n: int, domain: list[str], codomain: list[str]) -> str:
-    """The first fault of the quasi->restricted map from semilength ``n``, where
-    ``domain`` and ``codomain`` are the oracle's texts of the quasi family at
-    n and the restricted family at n + t + 1, or equal-length slices of
-    both; "" when there is none.  ``phi`` keeps U<D order (see
-    :mod:`rdyck.bijection`), so they pair by position, through the cores of
-    ``phi`` and ``phi_inv``: an image is mapped back only once it equals its
-    restricted member.  The pass compares whole lists, and only on a
-    mismatch looks for the first fault; both arguments are lists, for the
-    reason :func:`_composition_fault` gives."""
-    if len(domain) != len(codomain):
-        return f"n={n} domain={len(domain)} codomain={len(codomain)}"
-    images = [_phi_text(q, t, text) for text in domain]
-    if images == codomain and [_phi_inv_text(q, t, image) for image in images] == domain:
-        return ""
-    for text, image, expected in zip(domain, images, codomain):
-        if image != expected or _phi_inv_text(q, t, image) != text:
-            return f"n={n} path={text}"
-    return ""
 
 
 def _build_parser() -> argparse.ArgumentParser:

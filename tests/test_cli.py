@@ -13,6 +13,7 @@ import rdyck.bijection
 import rdyck.classes
 import rdyck.cli
 import rdyck.compositions
+import rdyck.verify
 from rdyck import (
     DyckPath,
     PathClass,
@@ -41,9 +42,9 @@ def patch_core(monkeypatch, module, name, fn):
     """Replace a map's private core where it is defined, which is where its
     public wrapper looks it up, and where verify imports it, after checking
     that the two names hold one function."""
-    assert getattr(rdyck.cli, name) is getattr(module, name)
+    assert getattr(rdyck.verify, name) is getattr(module, name)
     monkeypatch.setattr(module, name, fn)
-    monkeypatch.setattr(rdyck.cli, name, fn)
+    monkeypatch.setattr(rdyck.verify, name, fn)
 
 
 class Discard:
@@ -59,7 +60,7 @@ class Discard:
 def losing_blocks(path_class, n, lost):
     """``_member_blocks`` with the first text of ``path_class`` at ``n`` left
     out, at every call; the text left out is kept in ``lost``."""
-    real = rdyck.cli._member_blocks
+    real = rdyck.verify._member_blocks
 
     def blocks(q, family, m):
         stream = real(q, family, m)
@@ -418,18 +419,26 @@ def test_runs_as_module():
 def test_cli_imports_no_heavy_modules():
     # every launch imports rdyck.cli; dataclasses (with inspect, ast, dis and
     # tokenize), json and decimal (with numbers) would add to each launch's
-    # start-up, and only series output needs decimal.  The modules
-    # the interpreter's site hooks import vary by machine, so only the
-    # modules that importing rdyck.cli adds are checked.
-    probe = "import sys; before = set(sys.modules); import rdyck.cli; print(*sorted(set(sys.modules) - before))"
+    # start-up, and only series output needs decimal.  Only verify compiles
+    # and loads its checks, rdyck.verify, which a member call must not.  The
+    # modules the interpreter's site hooks import vary by machine, so only
+    # the modules that importing rdyck.cli and each call add are checked.
+    probe = (
+        "import sys; before = set(sys.modules); import rdyck.cli; imported = set(sys.modules) - before; "
+        "rdyck.cli.run(['member', '--class', 'r', '--q', '1/1', 'UD']); member = set(sys.modules) - before; "
+        "rdyck.cli.run(['verify', '--q', '1/1', '--nmax', '0']); verify = set(sys.modules) - before; "
+        "print(*sorted(imported)); print(*sorted(member)); print(*sorted(verify))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=module_env(), timeout=60
     )
     assert done.returncode == 0, done.stderr
-    added = set(done.stdout.split())
-    assert "rdyck.cli" in added
+    imported, member, verify = (set(line.split()) for line in done.stdout.splitlines()[-3:])
+    assert "rdyck.cli" in imported
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "decimal", "_decimal", "numbers"}
-    assert not added & heavy
+    assert not imported & heavy
+    assert not member & (heavy | {"rdyck.verify"})
+    assert "rdyck.verify" in verify
 
 
 @pytest.mark.parametrize(
@@ -609,7 +618,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("generate called")
 
-        for module in (rdyck.classes, rdyck.bijection, rdyck.cli):
+        for module in (rdyck.classes, rdyck.bijection, rdyck.cli, rdyck.verify):
             monkeypatch.setattr(module, "generate", refuse, raising=False)
         assert invoke(capsys, "verify", "--q", qtext, "--nmax", "8") == (0, expected, "")
 
@@ -617,7 +626,7 @@ class TestVerify:
         # the generator loses one text of restricted n=3: every other check
         # reads the oracle's texts, so only the generation check sees it
         dropped = []
-        monkeypatch.setattr(rdyck.cli, "_member_blocks", losing_blocks(PathClass.RESTRICTED, 3, dropped))
+        monkeypatch.setattr(rdyck.verify, "_member_blocks", losing_blocks(PathClass.RESTRICTED, 3, dropped))
         real_chunks = rdyck.classes._oracle_chunks
         oracle_calls = []
 
@@ -644,14 +653,14 @@ class TestVerify:
         # path climbs to level three, so no family has it; it is named as
         # extra, and every other check, which reads the oracle's members,
         # still passes
-        real = rdyck.cli._member_blocks
+        real = rdyck.verify._member_blocks
 
         def padded(q, path_class, n):
             yield from real(q, path_class, n)
             if path_class is PathClass.QUASI and n == 4:
                 yield "UUUDUDDD", 1
 
-        monkeypatch.setattr(rdyck.cli, "_member_blocks", padded)
+        monkeypatch.setattr(rdyck.verify, "_member_blocks", padded)
         code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
         assert code == 1
         failure = "FAIL generation quasi: n=4 missing=[] extra=['UUUDUDDD']"
@@ -666,7 +675,7 @@ class TestVerify:
         # bijection check (from quasi n=1, t = 1) read the oracle's texts,
         # and see it
         dropped, lost = [], []
-        monkeypatch.setattr(rdyck.cli, "_member_blocks", losing_blocks(PathClass.RESTRICTED, 3, dropped))
+        monkeypatch.setattr(rdyck.verify, "_member_blocks", losing_blocks(PathClass.RESTRICTED, 3, dropped))
         patch_core(monkeypatch, rdyck.classes, "_oracle_chunks", losing_chunks(PathClass.RESTRICTED, 3, lost))
         code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
         assert code == 1
@@ -697,8 +706,8 @@ class TestVerify:
 
             return call
 
-        monkeypatch.setattr(rdyck.cli, "_member_blocks", recorded(rdyck.cli._member_blocks, calls))
-        monkeypatch.setattr(rdyck.cli, "_member_texts", recorded(rdyck.cli._member_texts, texts))
+        monkeypatch.setattr(rdyck.verify, "_member_blocks", recorded(rdyck.verify._member_blocks, calls))
+        monkeypatch.setattr(rdyck.verify, "_member_texts", recorded(rdyck.verify._member_texts, texts))
         monkeypatch.setattr(rdyck.bijection, "_member_texts", recorded(rdyck.bijection._member_texts, rebuilt))
         monkeypatch.setattr(rdyck.classes, "generate", recorded(rdyck.classes.generate, rebuilt))
         monkeypatch.setattr(rdyck.cli, "check_bijection", recorded(rdyck.cli.check_bijection, rebuilt))
@@ -819,8 +828,8 @@ class TestVerify:
             orders.append(order)
             return False
 
-        monkeypatch.setattr(rdyck.cli, "rational_gf_unreduced", rdyck.counting.compositions_gf)
-        monkeypatch.setattr(rdyck.cli, "check_sum_identity", failing_identity)
+        monkeypatch.setattr(rdyck.verify, "rational_gf_unreduced", rdyck.counting.compositions_gf)
+        monkeypatch.setattr(rdyck.verify, "check_sum_identity", failing_identity)
         code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
         assert code == 1
         rows = "enumeration={0} recurrence={0} series={0}".format("1,1,1,1,2,3,5,8,13")
@@ -925,6 +934,42 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
         assert code == 1
         assert out == VERIFY_3_4.replace("ok bijection", "FAIL bijection: n=5 path=UUDUDUDDUD")
+
+    @pytest.mark.parametrize(
+        "pair,nmax,line",
+        [
+            (None, 3, "FAIL collisions: constructed pair does not collide"),
+            ((DyckPath("UD"), DyckPath("UD")), 1, "FAIL collisions: pair UD UD does not shift the counts"),
+        ],
+        ids=["raises", "does-not-shift"],
+    )
+    def test_collision_faults(self, capsys, monkeypatch, pair, nmax, line):
+        # 3/2 has no valley slope, so its last check is collision_pair's pair
+        # and the counts it shifts.  A pair that cannot be built is named by
+        # its error, and its counts are not compared; a pair below the first
+        # count split (t = 0, and quasi at n first differs from restricted
+        # at n + 1 at n = 3) is named as a pair that does not shift them
+        def constructed(q):
+            if pair is None:
+                raise RuntimeError("constructed pair does not collide")
+            return pair
+
+        orders = []
+        real = rdyck.verify.count_recurrence
+
+        def recorded(q, path_class, order):
+            orders.append(order)
+            return real(q, path_class, order)
+
+        monkeypatch.setattr(rdyck.verify, "collision_pair", constructed)
+        monkeypatch.setattr(rdyck.verify, "count_recurrence", recorded)
+        code, out, _ = invoke(capsys, "verify", "--q", "3/2", "--nmax", str(nmax))
+        assert code == 1
+        *checks, last = out.splitlines()
+        assert all(check.startswith("ok ") for check in checks)
+        assert last == line
+        # the three counts lines, then, for a built pair, quasi and restricted
+        assert orders == [nmax] * 3 + ([] if pair is None else [1, 2])
 
     @pytest.mark.parametrize("qtext,most", [("3/4", 0), ("3/2", 2)], ids=["3/4", "3/2"])
     def test_map_checks_build_no_path_objects(self, capsys, monkeypatch, qtext, most):

@@ -1,10 +1,12 @@
 import re
 import shlex
+import tokenize
 from pathlib import Path
 
 import pytest
 
 import rdyck
+import rdyck.verify
 from rdyck.cli import run
 
 SUBMODULES = (rdyck.bijection, rdyck.classes, rdyck.compositions, rdyck.core, rdyck.counting)
@@ -61,7 +63,7 @@ def test_no_module_keeps_a_cache(capsys):
     # nothing is kept between calls: no function of the library is an
     # lru_cache, and no module-level dict, list or set grows during a verify
     # run, so a table such as the maps' pieces lives for one call only
-    modules = (rdyck, *SUBMODULES, rdyck.cli)
+    modules = (rdyck, *SUBMODULES, rdyck.cli, rdyck.verify)
     for module in modules:
         for name, value in vars(module).items():
             assert not hasattr(value, "cache_info"), f"{module.__name__}.{name}"
@@ -78,3 +80,18 @@ def test_no_module_keeps_a_cache(capsys):
     assert run(["verify", "--q", "3/4", "--nmax", "8"]) == 0
     capsys.readouterr()
     assert sizes() == before
+
+
+def test_every_module_stays_below_the_parser_cliff():
+    # CPython 3.11's parser doubles its token array past 4096 tokens, and
+    # allocates the 4096 new token structs at once.  The benchmark's launches
+    # compile rdyck from source (PYTHONDONTWRITEBYTECODE=1), so a module past
+    # it raises each launch's peak: compiling cli.py padded from 4096 to 4097
+    # tokens raised the tracemalloc peak from 1.48 to 1.70 MB (Python 3.11.7).
+    # Tokens are counted as the parser reads them: no comments, no blank or
+    # continued lines, and no encoding marker.
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    for path in sorted(Path(rdyck.__file__).parent.glob("*.py")):
+        with path.open("rb") as source:
+            tokens = sum(token.type not in skipped for token in tokenize.tokenize(source.readline))
+        assert tokens < 4096, path.name

@@ -20,16 +20,7 @@ from rdyck.bijection import check_bijection, phi, phi_inv
 from rdyck.classes import PathClass, _member_blocks, member
 from rdyck.compositions import comp_to_path, path_to_comp
 from rdyck.core import DyckPath, RationalParam, _parse_int
-from rdyck.counting import (
-    _series_texts,
-    class_gf,
-    compositions_gf,
-    count_enumeration,
-    count_recurrence,
-    quasi_gf,
-    rational_gf,
-    restricted_gf,
-)
+from rdyck.counting import _CLOSED_FORMS, _series_texts, class_gf, count_enumeration, count_recurrence
 
 __all__ = ["main", "run"]
 
@@ -42,13 +33,6 @@ _CLASSES = {
     "rt": PathClass.RESTRICTED,
     "quasi": PathClass.QUASI,
     "q": PathClass.QUASI,
-}
-
-_GFS = {
-    "rational": rational_gf,
-    "restricted": restricted_gf,
-    "quasi": quasi_gf,
-    "compositions": compositions_gf,
 }
 
 
@@ -177,7 +161,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    _print_counts(args.format, {"series": _series_texts(_GFS[args.gf](_q(args)), args.nmax)})
+    _print_counts(args.format, {"series": _series_texts(_CLOSED_FORMS[args.gf](_q(args)), args.nmax)})
     return 0
 
 
@@ -291,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="expand one of the closed-form generating functions")
     add_q(p)
-    p.add_argument("--gf", choices=sorted(_GFS), required=True)
+    p.add_argument("--gf", choices=sorted(_CLOSED_FORMS), required=True)
     p.add_argument("--nmax", type=_semilength_arg, required=True)
     add_format(p)
     p.set_defaults(handler=_cmd_series)

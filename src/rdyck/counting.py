@@ -4,9 +4,12 @@ Each family's counting sequence by semilength has a rational generating
 function whose denominator encodes the suffix recursion of
 :mod:`rdyck.classes`.  All the closed forms are built from one run sum
 T = sum_{p=1}^{r} x^(p + ceil(ps/r)); all but the rational one have the
-denominator 1 - x - T.  Counts are produced by three independent routes —
-literal enumeration, the recurrence, and series expansion of the closed
-form — and the test suite insists they agree.
+denominator 1 - x - T; the rational one is the same construction over every
+part size, folded onto T by their period r + s (see :func:`rational_gf`).
+Each closed form is stated once, and :func:`class_gf` and the CLI's
+``series`` command both find it by name in one table.  Counts are produced by
+three independent routes — literal enumeration, the recurrence, and series
+expansion of the closed form — and the test suite insists they agree.
 
 A note on the quasi family's recurrence: besides the usual suffix terms it
 carries a +1 for every semilength 2 <= n <= r+s.  Those account for the
@@ -54,7 +57,6 @@ __all__ = [
     "count_recurrence",
     "quasi_gf",
     "rational_gf",
-    "rational_gf_unreduced",
     "restricted_gf",
     "series_coeffs",
 ]
@@ -101,39 +103,24 @@ def _minus_run_sum(q: RationalParam, coeffs: list[int]) -> tuple[int, ...]:
 
 
 def rational_gf(q: RationalParam) -> RationalSeries:
-    """Closed form for the rational-family counts, reduced:
+    """Closed form for the rational-family counts:
 
-        (1 - T - x^(r+s)) / (1 - x - T - x^(r+s) + x^(r+s+1))
+        (1 - x^(r+s) - T) / ((1 - x)(1 - x^(r+s)) - T)
 
     with T as in :func:`restricted_gf`.  T already holds one x^(r+s), its
     p = r term, so each side carries -2 x^(r+s) in all.
+
+    It is the sequence construction C = (1 - S) / (1 - x - S) over the part
+    sizes S = sum_{p>=1} x^(p + ceil(ps/r)): the recurrence of
+    :func:`count_recurrence` reads C - 1 = x*C + S*(C - 1).  Since
+    part_size(p + r) = part_size(p) + r + s, S = T / (1 - x^(r+s)), and
+    multiplying top and bottom by 1 - x^(r+s) gives the form above.
     """
     top = q.r + q.s
     return RationalSeries(
         _minus_run_sum(q, [1] + [0] * (top - 1) + [-1]),
         _minus_run_sum(q, [1, -1] + [0] * (top - 2) + [-1, 1]),
     )
-
-
-def rational_gf_unreduced(q: RationalParam) -> RationalSeries:
-    """The same series before cancelling the k = r term against (1 - x^(r+s)):
-
-        numerator    1 - x^(r+s) - sum_{k=1}^{r} x^(k + ceil(ks/r))
-        denominator  (1 - x)(1 - x^(r+s)) - sum_{k=1}^{r} x^(k + ceil(ks/r))
-
-    Cross-multiplied equality with :func:`rational_gf` is part of the tests.
-    """
-    top = q.r + q.s
-    num = [1] + [0] * top
-    den = [1, -1] + [0] * top
-    num[top] -= 1
-    den[top] -= 1
-    den[top + 1] += 1
-    for k in range(1, q.r + 1):
-        e = part_size(q, k)
-        num[e] -= 1
-        den[e] -= 1
-    return RationalSeries(num, den)
 
 
 def restricted_gf(q: RationalParam) -> RationalSeries:
@@ -161,13 +148,19 @@ def compositions_gf(q: RationalParam) -> RationalSeries:
     return RationalSeries((1,), _minus_run_sum(q, [1, -1]))
 
 
+# class_gf looks a family's closed form up by its PathClass value, and the
+# CLI's series command takes its --gf names from these keys
+_CLOSED_FORMS = {
+    "rational": rational_gf,
+    "restricted": restricted_gf,
+    "quasi": quasi_gf,
+    "compositions": compositions_gf,
+}
+
+
 def class_gf(q: RationalParam, path_class: PathClass) -> RationalSeries:
     """The generating function whose coefficients count the given family."""
-    if path_class is PathClass.RATIONAL:
-        return rational_gf(q)
-    if path_class is PathClass.RESTRICTED:
-        return restricted_gf(q)
-    return quasi_gf(q)
+    return _CLOSED_FORMS[path_class.value](q)
 
 
 def series_coeffs(series: RationalSeries, order: int) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ from rdyck.classes import PathClass, _block_texts, _member_blocks, _member_texts
 from rdyck.cli import _composition_text
 from rdyck.compositions import _comp_text, _descending_compositions, _text_parts
 from rdyck.core import RationalParam, semilength, valley_slope
-from rdyck.counting import check_sum_identity, class_gf, count_recurrence, rational_gf_unreduced, series_coeffs
+from rdyck.counting import check_sum_identity, class_gf, count_recurrence, series_coeffs
 
 
 def first_faults(q: RationalParam, nmax: int) -> dict[str, str]:
@@ -111,15 +111,10 @@ def first_faults(q: RationalParam, nmax: int) -> dict[str, str]:
         ser = series_coeffs(class_gf(q, path_class), nmax)
         agree = enum == rec == ser
         routes = f"enumeration={_line(enum)} recurrence={_line(rec)} series={_line(ser)}"
-        if path_class is PathClass.RATIONAL:
-            # two more routes, named in the detail only when they disagree
-            unreduced = series_coeffs(rational_gf_unreduced(q), nmax)
-            if unreduced != ser:
-                agree = False
-                routes += f" unreduced={_line(unreduced)}"
-            if not check_sum_identity(q, max(nmax, 1)):
-                agree = False
-                routes += " sum_identity=false"
+        # the run-sum identity, named in the detail only when it fails
+        if path_class is PathClass.RATIONAL and not check_sum_identity(q, max(nmax, 1)):
+            agree = False
+            routes += " sum_identity=false"
         if not agree:
             faults[f"counts {path_class.value}"] = routes
 

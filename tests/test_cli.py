@@ -18,6 +18,7 @@ from rdyck import (
     DyckPath,
     PathClass,
     RationalParam,
+    RationalSeries,
     count_enumeration,
     count_recurrence,
     generate,
@@ -303,6 +304,17 @@ class TestSeries:
         )
         expected = json.dumps(values) if fmt == "json" else ",".join(map(str, values))
         assert series == count == (0, expected + "\n", "")
+
+    @pytest.mark.parametrize("fmt", ["lines", "json"])
+    @pytest.mark.parametrize("qtext", ["3/4", "3/2"])
+    @pytest.mark.parametrize("family", ["rational", "restricted", "quasi"])
+    def test_series_and_count_read_one_closed_form(self, capsys, family, qtext, fmt):
+        series = invoke(capsys, "series", "--q", qtext, "--gf", family, "--nmax", "40", "--format", fmt)
+        count = invoke(
+            capsys, "count", "--class", family, "--q", qtext, "--nmax", "40", "--method", "series", "--format", fmt
+        )
+        assert series == count
+        assert series[0] == 0
 
     def test_memory_is_bounded(self, monkeypatch):
         table = series_coeffs(rational_gf(RationalParam(1, 1)), 4000)
@@ -819,24 +831,41 @@ class TestVerify:
         assert peak(large) <= 1.5 * peak(small)
 
     def test_rational_counts_name_the_route_that_disagrees(self, capsys, monkeypatch):
-        # the unreduced closed form swapped for the compositions one, and the
-        # sum identity made to fail: both routes fold into the counts rational
-        # line, which names each of them, and no other line changes
+        # the sum identity made to fail: it folds into the counts rational
+        # line, which names it, and no other line changes
         orders = []
 
         def failing_identity(q, order):
             orders.append(order)
             return False
 
-        monkeypatch.setattr(rdyck.verify, "rational_gf_unreduced", rdyck.counting.compositions_gf)
         monkeypatch.setattr(rdyck.verify, "check_sum_identity", failing_identity)
         code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
         assert code == 1
         rows = "enumeration={0} recurrence={0} series={0}".format("1,1,1,1,2,3,5,8,13")
-        failure = f"FAIL counts rational: {rows} unreduced=1,1,1,2,3,5,8,13,21 sum_identity=false"
+        failure = f"FAIL counts rational: {rows} sum_identity=false"
         assert out == VERIFY_3_4.replace("ok counts rational", failure)
         assert out.count("FAIL") == 1
         assert orders == [8]
+
+    def test_rational_counts_catch_a_wrong_closed_form(self, capsys, monkeypatch):
+        # the rational form with its x^(r+s+1) denominator term dropped: the
+        # recurrence and the enumeration both tell it apart at n = r+s+1
+        real = rdyck.counting.class_gf
+
+        def faulty(q, path_class):
+            gf = real(q, path_class)
+            if path_class is PathClass.RATIONAL:
+                gf = RationalSeries(gf.numerator, gf.denominator[: q.r + q.s + 1])
+            return gf
+
+        monkeypatch.setattr(rdyck.verify, "class_gf", faulty)
+        code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
+        assert code == 1
+        counts = "1,1,1,1,2,3,5,8,13"
+        failure = f"FAIL counts rational: enumeration={counts} recurrence={counts} series=1,1,1,1,2,3,5,8,14"
+        assert out == VERIFY_3_4.replace("ok counts rational", failure)
+        assert out.count("FAIL") == 1
 
     def test_round_trip_fault_names_its_path(self, capsys, monkeypatch):
         # phi_inv's core goes wrong on one restricted path of semilength 7 at

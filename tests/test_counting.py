@@ -20,24 +20,12 @@ from rdyck import (
     part_size,
     quasi_gf,
     rational_gf,
-    rational_gf_unreduced,
     restricted_gf,
     series_coeffs,
 )
 from rdyck.counting import _series_texts
 
 Q_SAMPLE = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 5)]
-
-
-def poly_mul(a, b):
-    """Product of two coefficient tuples, for cross-multiplying rational forms."""
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
 
 
 class TestSeriesTypes:
@@ -71,14 +59,6 @@ class TestClosedForms:
     def test_three_quarters_denominator(self):
         gf = rational_gf(RationalParam(3, 4))
         assert gf.denominator == (1, -1, 0, -1, 0, -1, 0, -2, 1)
-
-    def test_unreduced_form_agrees(self):
-        for r, s in Q_SAMPLE:
-            q = RationalParam(r, s)
-            reduced = rational_gf(q)
-            raw = rational_gf_unreduced(q)
-            left = poly_mul(reduced.numerator, raw.denominator)
-            assert left == poly_mul(raw.numerator, reduced.denominator)
 
     def test_restricted_forms(self):
         gf = restricted_gf(RationalParam(1, 1))
@@ -316,6 +296,16 @@ class TestIdentities:
     def test_sum_identity_sample(self):
         for r, s in Q_SAMPLE:
             assert check_sum_identity(RationalParam(r, s), 40)
+
+    def test_part_sizes_are_periodic(self):
+        # part_size(p + r) = part_size(p) + r + s, the premise of rational_gf's
+        # fold S = T / (1 - x^(r+s))
+        for r in range(1, 31):
+            for s in range(1, 31):
+                if gcd(r, s) == 1:
+                    q = RationalParam(r, s)
+                    for p in range(1, 3 * r + 1):
+                        assert part_size(q, p + r) == part_size(q, p) + r + s, (q, p)
 
     def test_sum_identity_rejects_zero_order(self):
         with pytest.raises(ValueError):

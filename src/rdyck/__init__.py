@@ -3,13 +3,14 @@
 Given a coprime pair r/s, three nested families of Dyck paths of height at
 most two are defined by how many valleys must follow each run of peaks
 (:mod:`rdyck.classes`).  The package provides validated path objects and
-their block factorization (:mod:`rdyck.core`), constructive generation with a
-brute-force oracle to test it against, exact counting by recurrence and by
-closed rational generating functions (:mod:`rdyck.counting`), the
-size-preserving correspondence with compositions over restricted part sets
-(:mod:`rdyck.compositions`), and the semilength-raising map between the quasi
-and restricted families with its collision analysis (:mod:`rdyck.bijection`).
-A CLI (``rdyck``) exposes every operation.
+their block factorization (:mod:`rdyck.core`), constructive generation, exact
+counting by recurrence and by closed rational generating functions
+(:mod:`rdyck.counting`), the size-preserving correspondence with
+compositions over restricted part sets (:mod:`rdyck.compositions`), and the
+semilength-raising map between the quasi and restricted families with its
+collision analysis (:mod:`rdyck.bijection`).  A CLI (``rdyck``) exposes every
+operation; its ``verify`` checks them against a brute-force oracle
+(:mod:`rdyck.verify`, which the package does not import).
 """
 
 from rdyck import bijection, classes, compositions, core, counting

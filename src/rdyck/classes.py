@@ -1,4 +1,4 @@
-"""The three path families over a rational parameter, with an oracle to match.
+"""The three path families over a rational parameter: membership and generation.
 
 All three live inside the height-<=2 paths and are stated on the block
 factorization (p_1, v_1), ..., (p_k, v_k) of :mod:`rdyck.core`:
@@ -36,19 +36,8 @@ member is validated.  ``enumerate``, ``count_enumeration`` and
 one semilength's texts (``_member_texts``), and only ``generate`` builds a
 ``DyckPath`` per member.
 
-The oracle is the brute-force route used to differential-test it: an
-exhaustive search over U/D steps with one pruning rule, which sorts each
-path into the families as it reaches it.  The search drops every path with
-an interior block (p >= 1 peaks, fewer than ceil(p*s/r) valleys), which no
-family accepts, so at n = 15 it yields 1,566 candidates at 3/4 and 6,777 at
-3/2 rather than all 2^14 = 16,384 height-two paths (about 1.61 and 1.84 per
-unit of n, not 2).  The search (``_oracle_steps``) runs on an explicit stack
-and yields its candidates in U < D order, in chunks of at most
-``_BLOCK_SIZE``; ``_oracle_chunks`` sorts each chunk into the families, and
-``verify`` reads that stream, so no family is ever held whole.
-``oracle_generate`` collects the stream into one tuple per family.  The
-oracle gives step texts, shares no code with ``member``, and keeps nothing
-between calls.
+The brute-force oracle that all of this is tested against lives in
+:mod:`rdyck.verify`, apart from it.
 """
 
 from __future__ import annotations
@@ -69,11 +58,12 @@ __all__ = [
     "PathClass",
     "generate",
     "member",
-    "oracle_generate",
 ]
 
-# Most step texts per block of _member_walk: enough to spread the per-block
-# work thin, few enough that a block stays a few tens of kilobytes.
+# Most step texts per block of _member_walk, and most candidates per chunk of
+# the oracle in rdyck.verify, which reads it at each call: enough to spread
+# the per-block work thin, few enough that a block stays a few tens of
+# kilobytes.
 _BLOCK_SIZE = 256
 # Most characters in _member_walk's table of short members; only families
 # whose counts grow very slowly (s much larger than r) reach it.
@@ -232,110 +222,3 @@ def _member_walk(q: RationalParam, path_class: PathClass, n: int) -> Iterator[tu
         else:
             for piece, rest in reversed(children(m)):
                 stack.append((prefix + piece, rest))
-
-
-def oracle_generate(q: RationalParam, n: int) -> dict[PathClass, tuple[str, ...]]:
-    """Brute-force counterpart of ``generate``: the step texts of semilength
-    ``n`` in each family, in U < D order, with no ``DyckPath`` built.
-
-    The stream ``_oracle_chunks`` collected into one tuple per family.  A
-    negative ``n`` raises ``generate``'s ``ValueError``.
-    """
-    if n < 0:
-        raise ValueError(f"semilength must be >= 0, got {n}")
-    families: dict[PathClass, list[str]] = {path_class: [] for path_class in PathClass}
-    for chunk in _oracle_chunks(q, n):
-        for path_class, texts in chunk.items():
-            families[path_class].extend(texts)
-    return {path_class: tuple(texts) for path_class, texts in families.items()}
-
-
-def _oracle_chunks(q: RationalParam, n: int) -> Iterator[dict[PathClass, list[str]]]:
-    """The oracle's families of semilength ``n`` >= 0 as a stream: for each
-    chunk of ``_oracle_steps``, the texts of each family in it, in U < D
-    order.
-
-    The search has kept every interior block at its demand, so a path's
-    final block (p, v) and largest peak run decide: rational when
-    v*r >= p*s, restricted when also within the cap r, and quasi when within
-    the cap and the final block meets its demand, has p = r or has v = 0.
-    """
-    r, s = q.r, q.s
-    for leaves in _oracle_steps(q, n):
-        rational: list[str] = []
-        restricted: list[str] = []
-        quasi: list[str] = []
-        for steps, peaks, valleys, top in leaves:
-            capped = top <= r and peaks <= r
-            if valleys * r >= peaks * s:
-                rational.append(steps)
-                if capped:
-                    restricted.append(steps)
-                    quasi.append(steps)
-            elif capped and (peaks == r or not valleys):
-                quasi.append(steps)
-        yield {PathClass.RATIONAL: rational, PathClass.RESTRICTED: restricted, PathClass.QUASI: quasi}
-
-
-def _oracle_steps(q: RationalParam, n: int) -> Iterator[list[tuple[str, int, int, int]]]:
-    """The height-<=2 Dyck paths of semilength ``n`` >= 0, less those with an
-    interior block short of its valleys, in U < D order and in chunks of at
-    most ``_BLOCK_SIZE``: each path as its step text, the peaks and valleys
-    of its final block, and its largest closed peak run (0 when there is
-    none).
-
-    A backtracking search over the steps within levels [0, 2], U tried before
-    D at every step, with one pruning rule.  A peak is a U from level 1 and a
-    valley a D from level 1 that is not the last step; a peak that follows a
-    valley starts a new block and so closes the one before it, which is then
-    interior.  No family accepts an interior block (p, v) with p >= 1 and
-    v < ceil(p*s/r) (only the quasi family's final block is let off), so the
-    search drops the U that would close such a block, and with it every path
-    below.  Each node carries its prefix, level and steps left, the open
-    block's peaks and valleys, and the largest closed peak run.  The search
-    shares nothing with the suffix recursion of ``_member_walk``.
-
-    The search runs depth first on an explicit stack of nodes, and the
-    stack holds only the pending D siblings along the branch: from a popped
-    node it steps down to a leaf, taking U wherever U is allowed and pushing
-    the D sibling it passes over, so everything below a U comes before its
-    D sibling.  At level 0 only U is allowed, at level 2 only D, and a U is
-    taken only with room to come back down, so every node has a child, the
-    level never exceeds the steps left, and every leaf is at level 0.
-    """
-    r, s = q.r, q.s
-    size = _BLOCK_SIZE
-    leaves: list[tuple[str, int, int, int]] = []
-    stack = [("", 0, 2 * n, 0, 0, 0)]
-    push, pop = stack.append, stack.pop
-    while stack:
-        prefix, level, remaining, peaks, valleys, top = pop()
-        while remaining:
-            remaining -= 1
-            if not level:
-                prefix += "U"
-                level = 1
-            elif level == 2:
-                prefix += "D"
-                level = 1
-            elif remaining > 1 and (not valleys or valleys * r >= peaks * s):
-                # a valley below the D: a D from level 1 that is not the last step
-                push((prefix + "D", 0, remaining, peaks, valleys + 1, top))
-                prefix += "U"
-                level = 2
-                if valleys:
-                    # this peak starts a new block and closes the open one
-                    top = max(top, peaks)
-                    peaks, valleys = 1, 0
-                else:
-                    peaks += 1
-            else:
-                prefix += "D"
-                level = 0
-                valleys += remaining > 0
-        leaves.append((prefix, peaks, valleys, top))
-        if len(leaves) == size:
-            yield leaves
-            leaves = []
-    if leaves:
-        yield leaves

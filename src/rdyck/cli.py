@@ -18,7 +18,7 @@ from collections.abc import Iterable
 
 from rdyck.bijection import check_bijection, phi, phi_inv
 from rdyck.classes import PathClass, _member_blocks, member
-from rdyck.compositions import comp_to_path, path_to_comp
+from rdyck.compositions import _composition_text, _parse_composition, comp_to_path, path_to_comp
 from rdyck.core import DyckPath, RationalParam, _parse_int
 from rdyck.counting import _CLOSED_FORMS, _series_texts, class_gf, count_enumeration, count_recurrence
 
@@ -172,23 +172,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
     else:
         print(_composition_text(path_to_comp(q, DyckPath(args.value))))
     return 0
-
-
-def _composition_text(parts: tuple[int, ...]) -> str:
-    """Parts joined by '+'; the empty composition renders as '0'."""
-    return "+".join(map(str, parts)) if parts else "0"
-
-
-def _parse_composition(text: str) -> tuple[int, ...]:
-    """Inverse of _composition_text.  Parts are ASCII digits; whether each
-    is positive, and a part size, is left to :func:`comp_to_path`."""
-    if text == "0":
-        return ()
-    parts = tuple(_parse_int(token) for token in text.split("+"))
-    # a part takes no sign, not even "-0", which the parser reads as 0
-    if "-" in text or None in parts:
-        raise ValueError(f"bad composition {text!r}; expected '0' or '+'-joined parts")
-    return parts
 
 
 def _cmd_phi(args: argparse.Namespace) -> int:

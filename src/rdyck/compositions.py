@@ -27,13 +27,17 @@ largest part first, on an explicit stack.  Its docstring proves that
 ``comp_to_path`` sends them, in that order, onto the family in U < D order,
 so ``rdyck verify`` pairs the two streams by position and holds neither;
 ``enumerate_compositions`` is the walk reversed, in lexicographic order.
+
+A composition's text, read by ``_parse_composition``, is its parts joined
+by '+' (``_composition_text``), '0' when empty: ``rdyck map`` reads and
+writes it, and ``verify`` names a faulty composition in it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from rdyck.core import DyckPath, RationalParam, _part_sizes, _scan_blocks, min_valleys, part_size
+from rdyck.core import DyckPath, RationalParam, _parse_int, _part_sizes, _scan_blocks, min_valleys, part_size
 
 __all__ = ["comp_to_path", "enumerate_compositions", "path_to_comp"]
 
@@ -133,6 +137,23 @@ def path_to_comp(q: RationalParam, path: DyckPath) -> tuple[int, ...]:
     parts = _text_parts(q, path.steps)
     if parts is None:
         raise ValueError(f"path is not a rational-family member for {q}: {path.steps!r}")
+    return parts
+
+
+def _composition_text(parts: tuple[int, ...]) -> str:
+    """Parts joined by '+'; the empty composition renders as '0'."""
+    return "+".join(map(str, parts)) if parts else "0"
+
+
+def _parse_composition(text: str) -> tuple[int, ...]:
+    """Inverse of _composition_text.  Parts are ASCII digits; whether each
+    is positive, and a part size, is left to :func:`comp_to_path`."""
+    if text == "0":
+        return ()
+    parts = tuple(_parse_int(token) for token in text.split("+"))
+    # a part takes no sign, not even "-0", which the parser reads as 0
+    if "-" in text or None in parts:
+        raise ValueError(f"bad composition {text!r}; expected '0' or '+'-joined parts")
     return parts
 
 

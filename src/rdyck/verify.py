@@ -1,5 +1,17 @@
-"""The cross-checks of ``rdyck verify``, apart from :mod:`rdyck.cli` so that no
-other command's launch compiles or loads them; only ``verify`` imports this."""
+"""The cross-checks of ``rdyck verify`` and the brute-force oracle they check
+against, apart from :mod:`rdyck.cli` so that no other command's launch
+compiles or loads them; only ``verify`` imports this.
+
+The oracle, the route that the generator of :mod:`rdyck.classes` is
+differential-tested against, is one generator, ``_oracle_chunks``: an
+exhaustive search over U/D steps with one pruning rule, which sorts each
+path into the families as it reaches it, as step texts in chunks, so
+``first_faults`` never holds a family whole.  It drops every path with an
+interior block short of its valleys, so at n = 15 it reaches 1,566
+candidates at 3/4 and 6,777 at 3/2 rather than all 2^14 = 16,384
+height-two paths (about 1.61 and 1.84 per unit of n, not 2).  The oracle
+shares no code with ``member`` and keeps nothing between calls.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +19,10 @@ from collections.abc import Iterator
 from functools import partial
 from itertools import chain, islice
 
+from rdyck import classes
 from rdyck.bijection import _phi_inv_text, _phi_text, collision_pair
-from rdyck.classes import PathClass, _block_texts, _member_blocks, _member_texts, _oracle_chunks
-from rdyck.cli import _composition_text
-from rdyck.compositions import _comp_text, _descending_compositions, _text_parts
+from rdyck.classes import PathClass, _block_texts, _member_blocks, _member_texts
+from rdyck.compositions import _comp_text, _composition_text, _descending_compositions, _text_parts
 from rdyck.core import RationalParam, semilength, valley_slope
 from rdyck.counting import check_sum_identity, class_gf, count_recurrence, series_coeffs
 
@@ -199,3 +211,96 @@ def _bijection_fault(q: RationalParam, t: int, n: int, domain: list[str], codoma
         if image != expected or _phi_inv_text(q, t, image) != text:
             return f"n={n} path={text}"
     return ""
+
+
+def oracle_generate(q: RationalParam, n: int) -> dict[PathClass, tuple[str, ...]]:
+    """Brute-force counterpart of ``generate``: the step texts of semilength
+    ``n`` in each family, in U < D order, the stream ``_oracle_chunks``
+    collected into one tuple per family; a negative ``n`` raises
+    ``generate``'s ``ValueError``."""
+    if n < 0:
+        raise ValueError(f"semilength must be >= 0, got {n}")
+    families: dict[PathClass, list[str]] = {path_class: [] for path_class in PathClass}
+    for chunk in _oracle_chunks(q, n):
+        for path_class, texts in chunk.items():
+            families[path_class].extend(texts)
+    return {path_class: tuple(texts) for path_class, texts in families.items()}
+
+
+def _oracle_chunks(q: RationalParam, n: int) -> Iterator[dict[PathClass, list[str]]]:
+    """The oracle's families of semilength ``n`` >= 0 as a stream: for each
+    chunk of at most ``classes._BLOCK_SIZE`` candidates, the texts of each
+    family in it, in U < D order.
+
+    A backtracking search over the steps within levels [0, 2], U tried
+    before D at every step.  A peak is a U from level 1 and a valley a D
+    from level 1 that is not the last step; a peak that follows a valley
+    starts a new block and so closes the one before it, which is then
+    interior.  No family accepts an interior block (p, v) with p >= 1 and
+    v < ceil(p*s/r) (only the quasi family's final block is let off), so the
+    search drops the U that would close such a block, and with it every path
+    below.  Each node carries its prefix, level and steps left, the open
+    block's peaks and valleys, and the largest closed peak run.  The search
+    shares nothing with the suffix recursion of ``classes._member_walk``.
+
+    The search runs depth first on an explicit stack of nodes, and the
+    stack holds only the pending D siblings along the branch: from a popped
+    node it steps down to a leaf, taking U wherever U is allowed and pushing
+    the D sibling it passes over, so everything below a U comes before its
+    D sibling.  At level 0 only U is allowed, at level 2 only D, and a U is
+    taken only with room to come back down, so every node has a child, the
+    level never exceeds the steps left, and every leaf is at level 0.
+
+    At a leaf every interior block has met its demand, so the path's final
+    block (p, v) and largest closed peak run decide its families: rational
+    when v*r >= p*s, restricted when also within the cap r, and quasi when
+    within the cap and the final block meets its demand, has p = r or has
+    v = 0.
+    """
+    r, s = q.r, q.s
+    size = classes._BLOCK_SIZE
+    rational: list[str] = []
+    restricted: list[str] = []
+    quasi: list[str] = []
+    candidates = 0
+    stack = [("", 0, 2 * n, 0, 0, 0)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        prefix, level, remaining, peaks, valleys, top = pop()
+        while remaining:
+            remaining -= 1
+            if not level:
+                prefix += "U"
+                level = 1
+            elif level == 2:
+                prefix += "D"
+                level = 1
+            elif remaining > 1 and (not valleys or valleys * r >= peaks * s):
+                # a valley below the D: a D from level 1 that is not the last step
+                push((prefix + "D", 0, remaining, peaks, valleys + 1, top))
+                prefix += "U"
+                level = 2
+                if valleys:
+                    # this peak starts a new block and closes the open one
+                    top = max(top, peaks)
+                    peaks, valleys = 1, 0
+                else:
+                    peaks += 1
+            else:
+                prefix += "D"
+                level = 0
+                valleys += remaining > 0
+        capped = top <= r and peaks <= r
+        if valleys * r >= peaks * s:
+            rational.append(prefix)
+            if capped:
+                restricted.append(prefix)
+                quasi.append(prefix)
+        elif capped and (peaks == r or not valleys):
+            quasi.append(prefix)
+        candidates += 1
+        # the last leaf closes the last chunk, which may be short
+        if candidates == size or not stack:
+            yield {PathClass.RATIONAL: rational, PathClass.RESTRICTED: restricted, PathClass.QUASI: quasi}
+            rational, restricted, quasi = [], [], []
+            candidates = 0

@@ -20,7 +20,6 @@ from rdyck import (
     enumerate_compositions,
     generate,
     member,
-    oracle_generate,
     part_size,
     path_to_comp,
     phi,
@@ -31,6 +30,7 @@ from rdyck import (
     series_coeffs,
     valley_slope,
 )
+from rdyck.verify import oracle_generate
 
 from exhaustive import oracle_all_height2
 

@@ -6,6 +6,8 @@ from itertools import groupby, product
 import pytest
 
 import rdyck.classes
+import rdyck.core
+import rdyck.verify
 from rdyck import (
     EMPTY_PATH,
     DyckPath,
@@ -16,9 +18,9 @@ from rdyck import (
     generate,
     member,
     min_valleys,
-    oracle_generate,
 )
-from rdyck.classes import _member_blocks, _member_texts, _member_walk, _oracle_steps
+from rdyck.classes import _member_blocks, _member_texts, _member_walk
+from rdyck.verify import _oracle_chunks, oracle_generate
 
 from exhaustive import oracle_all_height2
 
@@ -383,7 +385,7 @@ class TestOracle:
                 for cls in PathClass:
                     assert tuple(p.steps for p in generate(q, cls, n)) == split[cls]
 
-    def test_pruned_search_drops_no_member(self):
+    def test_pruned_search_drops_no_member(self, monkeypatch):
         # the exhaustive paths through member, against the classifying pruned
         # search: the reference side never reaches the search behind
         # oracle_generate, and the oracle never reaches member
@@ -397,21 +399,26 @@ class TestOracle:
                 for cls in PathClass:
                     expected = tuple(p.steps for p in paths if member(q, cls, p))
                     assert split[cls] == expected, (q, cls, n)
-        # the candidate counts that the README and the classes docstring quote
-        assert sum(map(len, _oracle_steps(RationalParam(3, 4), 15))) == 1_566
-        assert sum(map(len, _oracle_steps(RationalParam(3, 2), 15))) == 6_777
+        # the candidate counts, two of which the README and the verify
+        # docstring quote: with chunks of one, one chunk per candidate
+        monkeypatch.setattr(rdyck.classes, "_BLOCK_SIZE", 1)
+        counts = [(3, 4, 15, 1_566), (3, 2, 15, 6_777), (3, 4, 20, 17_049), (3, 2, 20, 141_042), (1, 1, 20, 110_008)]
+        for r, s, n, candidates in counts:
+            assert sum(1 for _ in _oracle_chunks(RationalParam(r, s), n)) == candidates, (r, s, n)
 
     def test_oracle_shares_nothing_with_member(self, monkeypatch):
         # the oracle sorts paths into the families in its own search: it reads
-        # no blocks off a text, runs none of member's rules and builds no path
+        # no blocks off a text, runs none of member's rules and builds no
+        # path, under any name it could reach them by
         q = RationalParam(3, 4)
         expected = oracle_generate(q, 9)
 
         def forbidden(*args):
             raise AssertionError("the oracle reached member's code or DyckPath")
 
-        for name in ("_scan_blocks", "_accepts", "DyckPath"):
-            monkeypatch.setattr(rdyck.classes, name, forbidden)
+        for module in (rdyck.classes, rdyck.core, rdyck.verify):
+            for name in ("member", "_scan_blocks", "_accepts", "min_valleys", "DyckPath"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
         assert oracle_generate(q, 9) == expected
 
     def test_negative_semilength_raises(self):

@@ -22,11 +22,11 @@ from rdyck import (
     count_enumeration,
     count_recurrence,
     generate,
-    oracle_generate,
     rational_gf,
     series_coeffs,
 )
 from rdyck.cli import run
+from rdyck.verify import oracle_generate
 
 needs_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int-to-text digit limit"
@@ -80,7 +80,7 @@ def losing_chunks(path_class, n, lost, text=None):
     """``_oracle_chunks`` with ``text``, or else the first text, of
     ``path_class`` at ``n`` left out, at every call; the text left out is
     kept in ``lost``."""
-    real = rdyck.classes._oracle_chunks
+    real = rdyck.verify._oracle_chunks
 
     def chunks(q, m):
         losing = m == n
@@ -451,6 +451,16 @@ def test_cli_imports_no_heavy_modules():
     assert not imported & heavy
     assert not member & (heavy | {"rdyck.verify"})
     assert "rdyck.verify" in verify
+    # the checks need nothing of the front end: importing them alone loads
+    # neither rdyck.cli nor its parser
+    probe = "import sys; before = set(sys.modules); import rdyck.verify; print(*sorted(set(sys.modules) - before))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=module_env(), timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    checks = set(done.stdout.splitlines()[-1].split())
+    assert "rdyck.verify" in checks
+    assert not checks & {"rdyck.cli", "argparse"}
 
 
 @pytest.mark.parametrize(
@@ -619,7 +629,10 @@ class TestVerify:
     def test_chunk_size_does_not_show(self, capsys, monkeypatch, size):
         # the oracle's chunks of one or a few candidates: the slices of every
         # paired stream end elsewhere, and the output stays the same
+        q = RationalParam(3, 2)
+        assert len(list(rdyck.verify._oracle_chunks(q, 8))) == 1
         monkeypatch.setattr(rdyck.classes, "_BLOCK_SIZE", size)
+        assert len(list(rdyck.verify._oracle_chunks(q, 8))) > 1
         for qtext, expected in (("3/4", VERIFY_3_4), ("3/2", VERIFY_3_2)):
             assert invoke(capsys, "verify", "--q", qtext, "--nmax", "8") == (0, expected, "")
 
@@ -639,14 +652,14 @@ class TestVerify:
         # reads the oracle's texts, so only the generation check sees it
         dropped = []
         monkeypatch.setattr(rdyck.verify, "_member_blocks", losing_blocks(PathClass.RESTRICTED, 3, dropped))
-        real_chunks = rdyck.classes._oracle_chunks
+        real_chunks = rdyck.verify._oracle_chunks
         oracle_calls = []
 
         def recorded_chunks(q, n):
             oracle_calls.append(n)
             return real_chunks(q, n)
 
-        patch_core(monkeypatch, rdyck.classes, "_oracle_chunks", recorded_chunks)
+        monkeypatch.setattr(rdyck.verify, "_oracle_chunks", recorded_chunks)
         code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
         assert code == 1
         failure = f"FAIL generation restricted: n=3 missing={dropped} extra=[]"
@@ -688,7 +701,7 @@ class TestVerify:
         # and see it
         dropped, lost = [], []
         monkeypatch.setattr(rdyck.verify, "_member_blocks", losing_blocks(PathClass.RESTRICTED, 3, dropped))
-        patch_core(monkeypatch, rdyck.classes, "_oracle_chunks", losing_chunks(PathClass.RESTRICTED, 3, lost))
+        monkeypatch.setattr(rdyck.verify, "_oracle_chunks", losing_chunks(PathClass.RESTRICTED, 3, lost))
         code, out, _ = invoke(capsys, "verify", "--q", "3/4", "--nmax", "8")
         assert code == 1
         assert dropped == lost
@@ -755,7 +768,7 @@ class TestVerify:
         # shows that the oracle's own count is the one off; the path is quasi
         # but not rational, so the intersection still holds
         lost = []
-        patch_core(monkeypatch, rdyck.classes, "_oracle_chunks", losing_chunks(PathClass.QUASI, 5, lost, "UUDUDUDDUD"))
+        monkeypatch.setattr(rdyck.verify, "_oracle_chunks", losing_chunks(PathClass.QUASI, 5, lost, "UUDUDUDDUD"))
         code, out, _ = invoke(capsys, "verify", "--q", "3/2", "--nmax", "8")
         assert code == 1
         rows = "enumeration=1,1,2,4,7,12,23,42,76 recurrence={0} series={0}".format("1,1,2,4,7,13,23,42,76")
@@ -780,11 +793,11 @@ class TestVerify:
         # verify holding whole families printed for the same loss (taken from
         # one, and pinned); chunks of one or a few candidates change none
         q = RationalParam.from_string(qtext)
-        first, *rest = rdyck.classes._oracle_chunks(q, nmax)
+        first, *rest = rdyck.verify._oracle_chunks(q, nmax)
         assert text not in first[path_class]
         assert any(text in chunk[path_class] for chunk in rest)
         lost = []
-        patch_core(monkeypatch, rdyck.classes, "_oracle_chunks", losing_chunks(path_class, nmax, lost, text))
+        monkeypatch.setattr(rdyck.verify, "_oracle_chunks", losing_chunks(path_class, nmax, lost, text))
         for size in (rdyck.classes._BLOCK_SIZE, 1, 7):
             monkeypatch.setattr(rdyck.classes, "_BLOCK_SIZE", size)
             assert invoke(capsys, "verify", "--q", qtext, "--nmax", str(nmax)) == (1, expected, ""), size
@@ -795,12 +808,12 @@ class TestVerify:
         # first two chunks: the intersection check gathers its witnesses
         # chunk by chunk, with no second pass, and names both, sorted
         texts, expected = LOSS_IN_TWO_CHUNKS_3_4
-        first, second, *_ = rdyck.classes._oracle_chunks(RationalParam(3, 4), 12)
+        first, second, *_ = rdyck.verify._oracle_chunks(RationalParam(3, 4), 12)
         assert first[PathClass.RESTRICTED][0] == texts[0]
         assert texts[1] in second[PathClass.RESTRICTED]
         lost = [[], []]
         for text, log in zip(texts, lost):
-            patch_core(monkeypatch, rdyck.classes, "_oracle_chunks", losing_chunks(PathClass.RESTRICTED, 12, log, text))
+            monkeypatch.setattr(rdyck.verify, "_oracle_chunks", losing_chunks(PathClass.RESTRICTED, 12, log, text))
         assert invoke(capsys, "verify", "--q", "3/4", "--nmax", "12") == (1, expected, "")
         assert lost == [[text] for text in texts]
 

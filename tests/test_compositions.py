@@ -12,7 +12,8 @@ from rdyck import (
     part_size,
     path_to_comp,
 )
-from rdyck.cli import _composition_text, _parse_composition, run
+from rdyck.cli import run
+from rdyck.compositions import _composition_text, _parse_composition
 from rdyck.core import _part_sizes
 
 Q_SAMPLE = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 5)]

@@ -53,7 +53,7 @@ class TestPublicNames:
         for name in rdyck.__all__:
             assert getattr(rdyck, name) is not None, name
 
-    @pytest.mark.parametrize("name", ["Factorization", "height", "path_sort_key", "oracle_all_height2", "iter_generate", "Polynomial", "CountTable", "Composition", "PartSet", "parts_upto", "rational_gf_unreduced"])
+    @pytest.mark.parametrize("name", ["Factorization", "height", "path_sort_key", "oracle_all_height2", "iter_generate", "Polynomial", "CountTable", "Composition", "PartSet", "parts_upto", "rational_gf_unreduced", "oracle_generate"])
     def test_removed_names_are_gone(self, name):
         assert name not in rdyck.__all__
         assert not hasattr(rdyck, name)

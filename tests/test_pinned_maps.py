@@ -25,7 +25,7 @@ from rdyck import (
     phi_inv,
     valley_slope,
 )
-from rdyck.cli import _composition_text
+from rdyck.compositions import _composition_text
 
 from exhaustive import oracle_all_height2
 

@@ -15,7 +15,6 @@ from rdyck import (
     factorize,
     generate,
     member,
-    oracle_generate,
     path_to_comp,
     phi,
     phi_inv,
@@ -24,9 +23,10 @@ from rdyck import (
     valley_slope,
 )
 from rdyck.classes import _member_walk
-from rdyck.cli import _composition_text, _parse_composition
+from rdyck.compositions import _composition_text, _parse_composition
 from rdyck.core import _low_paths
 from rdyck.counting import _series_texts
+from rdyck.verify import oracle_generate
 
 from exhaustive import oracle_all_height2
 

@@ -9,7 +9,11 @@ part size, folded onto T by their period r + s (see :func:`rational_gf`).
 Each closed form is stated once, and :func:`class_gf` and the CLI's
 ``series`` command both find it by name in one table.  Counts are produced by
 three independent routes — literal enumeration, the recurrence, and series
-expansion of the closed form — and the test suite insists they agree.
+expansion of the closed form — and the test suite insists they agree.  The
+rational recurrence uses the same period r + s, but on its own running sums
+of counts: it adds at most r lead-in terms and one folded sum per
+semilength, so it takes O(n*r) additions, and it reads none of the closed
+forms' code (see :func:`count_recurrence`).
 
 A note on the quasi family's recurrence: besides the usual suffix terms it
 carries a +1 for every semilength 2 <= n <= r+s.  Those account for the
@@ -250,28 +254,50 @@ def count_recurrence(q: RationalParam, path_class: PathClass, order: int) -> tup
     whenever 2 <= n <= r+s (the single-arch members; see the module
     docstring).
 
-    The rational family has no peak cap, so its lead-in list grows with
-    ``order`` and the route is quadratic in it.  That is deliberate: this is
-    the cross-check of the closed forms and must not go through
-    :func:`series_coeffs`.
+    The rational family has no peak cap, but its lead-ins fold onto the
+    period r + s.  Write e_p = part_size(q, p) and L_n = sum over p >= 1 with
+    e_p < n of c_{n - e_p}, the lead-in sum (L_m = 0 for m < 1).  Since
+    e_{p+r} = e_p + r + s, the terms with p > r are the terms of L_{n-(r+s)},
+    index for index, and e_{p+r} < n exactly when e_p < n - (r+s); so
+
+        L_n = sum over p <= r with e_p < n of c_{n - e_p}  +  L_{n-(r+s)}
+
+    and each n costs at most r additions plus the folded sum, O(order * r)
+    in all.  The last min(r+s, order) lead-in sums are kept, and only the
+    p <= r part sizes are ever computed.
+
+    This route is the cross-check of the closed forms, so it reads none of
+    their code: no :func:`series_coeffs`, :func:`class_gf` or run sum, and
+    L_{n-(r+s)} is a sum of its own kept terms, never rebuilt from counts as
+    the closed form's denominator would.  The periodicity it rests on is
+    checked apart from it, by ``test_part_sizes_are_periodic`` and by
+    :func:`check_sum_identity`, which lists every part size directly.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    exponents = _part_sizes(q, path_class is not PathClass.RATIONAL, order)
+    rational = path_class is PathClass.RATIONAL
+    period = q.r + q.s
+    exponents = _part_sizes(q, True, order)
     values = [1]
+    # the rational family's lead-in sums L_{n-period} .. L_{n-1}, at most
+    # min(period, order) of them; sums[0] is L_{n-period} once n > period
+    sums: deque[int] = deque(maxlen=period)
     # exponents[:below] are the ones < n; they are distinct and ascending, so
     # at most one more joins them at each n
     below = 0
     for n in range(1, order + 1):
         total = values[n - 1]
-        if path_class is PathClass.QUASI and 2 <= n <= q.r + q.s:
+        if path_class is PathClass.QUASI and 2 <= n <= period:
             total += 1
         if below < len(exponents) and exponents[below] < n:
             below += 1
-        # the largest exponents first, so the smallest values: the partial
-        # sums stay short until the last few terms
-        total += sum(values[n - e] for e in reversed(exponents[:below]))
-        values.append(total)
+        # the folded sum and the largest exponents first, so the smallest
+        # values: the partial sums stay short until the last few terms
+        lead = sums[0] if rational and n > period else 0
+        lead += sum(values[n - e] for e in reversed(exponents[:below]))
+        if rational:
+            sums.append(lead)
+        values.append(total + lead)
     return tuple(values)
 
 

@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+import rdyck.core
 import rdyck.counting
 from rdyck import (
     PathClass,
@@ -23,9 +24,20 @@ from rdyck import (
     restricted_gf,
     series_coeffs,
 )
+from rdyck.core import _part_sizes
 from rdyck.counting import _series_texts
 
 Q_SAMPLE = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 5)]
+
+
+def every_lead_in(q, order):
+    """The rational counts by the recurrence's literal sum: every lead-in
+    p >= 1 at every n, read off the whole part set, with no use of its period."""
+    sizes = _part_sizes(q, False, order)
+    values = [1]
+    for n in range(1, order + 1):
+        values.append(values[n - 1] + sum(values[n - e] for e in sizes if e < n))
+    return tuple(values)
 
 
 class TestSeriesTypes:
@@ -277,6 +289,59 @@ class TestRecurrence:
         assert naive[2] == 1
         assert count_enumeration(q, PathClass.QUASI, 2)[2] == 2
         assert count_recurrence(q, PathClass.QUASI, 2)[2] == 2
+
+    def test_fold_against_every_lead_in(self):
+        # the folded sum L_{n-(r+s)} stands for every lead-in past p = r
+        for r in range(1, 13):
+            for s in range(1, 13):
+                if gcd(r, s) == 1:
+                    q = RationalParam(r, s)
+                    assert count_recurrence(q, PathClass.RATIONAL, 200) == every_lead_in(q, 200), q
+
+    @pytest.mark.parametrize("r,s", [(1, 1), (3, 4), (7, 20)])
+    def test_fold_against_every_lead_in_far(self, r, s):
+        q = RationalParam(r, s)
+        assert count_recurrence(q, PathClass.RATIONAL, 1500) == every_lead_in(q, 1500)
+
+    def test_reads_no_closed_form(self, monkeypatch):
+        # the recurrence is the closed forms' cross-check: with every closed
+        # form and the series expander made to raise, it gives the same tables
+        cases = [(RationalParam(r, s), cls) for r, s in Q_SAMPLE + [(7, 20)] for cls in PathClass]
+        expected = [series_coeffs(class_gf(q, cls), 120) for q, cls in cases]
+
+        def closed(*args, **kwargs):
+            raise AssertionError("count_recurrence read a closed form")
+
+        for name in ("series_coeffs", "_minus_run_sum", "class_gf", "rational_gf"):
+            monkeypatch.setattr(rdyck.counting, name, closed)
+        assert [count_recurrence(q, cls, 120) for q, cls in cases] == expected
+
+    def test_part_sizes_only_up_to_the_period(self, monkeypatch):
+        # the rational family at 1/1 to 5000 lists its lead-ins p <= r only,
+        # not the 2,500 part sizes below 5000
+        calls = []
+        real = rdyck.core.part_size
+
+        def counted(q, peaks):
+            calls.append(peaks)
+            return real(q, peaks)
+
+        q = RationalParam(1, 1)
+        monkeypatch.setattr(rdyck.core, "part_size", counted)
+        table = count_recurrence(q, PathClass.RATIONAL, 5000)
+        assert table[:9] == (1, 1, 1, 2, 3, 6, 10, 19, 33)
+        assert len(calls) <= q.r + 1
+
+    def test_window_is_bounded_by_the_order(self):
+        # a period of 3,000,001 read to order 3 keeps at most 3 lead-in sums
+        tracemalloc.start()
+        try:
+            table = count_recurrence(RationalParam(1, 3000000), PathClass.RATIONAL, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table == (1, 1, 1, 1)
+        assert peak < 1 << 20
 
     def test_triple_agreement(self):
         for r, s in Q_SAMPLE:

@@ -9,7 +9,9 @@ from rdyck import (
     PathClass,
     RationalParam,
     RationalSeries,
+    class_gf,
     comp_to_path,
+    count_recurrence,
     defactorize,
     enumerate_compositions,
     factorize,
@@ -250,3 +252,23 @@ def test_series_texts_match_the_coefficients(series, order):
         assert str(text_error.value) == str(coeffs_error)
     else:
         assert list(_series_texts(series, order)) == expected
+
+
+@st.composite
+def wide_rationals(draw):
+    r = draw(st.integers(min_value=1, max_value=40))
+    s = draw(st.integers(min_value=1, max_value=40))
+    g = math.gcd(r, s)
+    return RationalParam(r // g, s // g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_rationals(), st.integers(min_value=0, max_value=400))
+@example(RationalParam(1, 1), 400)
+@example(RationalParam(39, 40), 400)
+@example(RationalParam(1, 40), 400)
+def test_recurrence_matches_the_closed_forms(q, order):
+    # the folded rational recurrence, and the capped ones, against the series
+    # of each closed form, past several periods r + s
+    for path_class in PathClass:
+        assert count_recurrence(q, path_class, order) == series_coeffs(class_gf(q, path_class), order)

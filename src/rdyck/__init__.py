@@ -8,9 +8,11 @@ counting by recurrence and by closed rational generating functions
 (:mod:`rdyck.counting`), the size-preserving correspondence with
 compositions over restricted part sets (:mod:`rdyck.compositions`), and the
 semilength-raising map between the quasi and restricted families with its
-collision analysis (:mod:`rdyck.bijection`).  A CLI (``rdyck``) exposes every
-operation; its ``verify`` checks them against a brute-force oracle
-(:mod:`rdyck.verify`, which the package does not import).
+collision analysis (:mod:`rdyck.bijection`).  A CLI (``rdyck``) exposes
+membership, enumeration, counting, series, both maps and the bijection
+check, though not ``factorize``, ``defactorize`` or
+``enumerate_compositions``; its ``verify`` checks them against a brute-force
+oracle (:mod:`rdyck.verify`, which the package does not import).
 """
 
 from rdyck import bijection, classes, compositions, core, counting

@@ -128,10 +128,8 @@ def check_bijection(q: RationalParam, n: int) -> PhiReport:
     counts are asserted along the way; otherwise only the minimal search
     applies, and the report's collision list is how non-injectivity shows up.
     Both families are read as step texts; only the colliding pairs become
-    path objects.
+    path objects.  A bad ``n`` raises at the first ``_member_texts``.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     t = (q.s - 1) // q.r
     domain = _member_texts(q, PathClass.QUASI, n)
     codomain = _member_texts(q, PathClass.RESTRICTED, n + t + 1)

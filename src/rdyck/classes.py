@@ -49,6 +49,7 @@ from itertools import chain
 from rdyck.core import (
     DyckPath,
     RationalParam,
+    _index,
     _low_paths,
     _part_sizes,
     _scan_blocks,
@@ -80,8 +81,18 @@ class PathClass(Enum):
 
 def member(q: RationalParam, path_class: PathClass, path: DyckPath) -> bool:
     """Test membership of ``path`` in the chosen family for the parameter ``q``."""
+    _family(path_class)
     blocks = _scan_blocks(path.steps)
     return blocks is not None and _accepts(q, path_class, blocks)
+
+
+def _family(path_class: object) -> PathClass:
+    """``path_class`` when it is a ``PathClass`` member, else a ValueError.
+    The rules tell the families apart by identity, so a string such as
+    "quasi" would silently get the restricted family's."""
+    if not isinstance(path_class, PathClass):
+        raise ValueError(f"path_class must be a PathClass member, got {path_class!r}")
+    return path_class
 
 
 def _accepts(q: RationalParam, path_class: PathClass, blocks: tuple[tuple[int, int], ...]) -> bool:
@@ -116,15 +127,13 @@ def generate(q: RationalParam, path_class: PathClass, n: int) -> tuple[DyckPath,
     The recursion yields them in this order, so nothing is sorted or cached;
     callers that need only the step text read ``_member_texts``.
     """
-    return tuple(map(DyckPath, _member_texts(q, path_class, n)))
+    return tuple(map(DyckPath, _member_texts(q, _family(path_class), n)))
 
 
 def _member_texts(q: RationalParam, path_class: PathClass, n: int) -> tuple[str, ...]:
     """The step texts of ``generate``'s members, each checked by
-    ``_member_blocks``; a negative ``n`` raises ``generate``'s ``ValueError``."""
-    if n < 0:
-        raise ValueError(f"semilength must be >= 0, got {n}")
-    return tuple(_block_texts(_member_blocks(q, path_class, n)))
+    ``_member_blocks``; a bad ``n`` raises ``core._index``'s ``ValueError``."""
+    return tuple(_block_texts(_member_blocks(q, path_class, _index(n, "n"))))
 
 
 def _block_texts(blocks: Iterable[tuple[str, int]]) -> Iterator[str]:

@@ -19,7 +19,7 @@ from collections.abc import Iterable
 from rdyck.bijection import check_bijection, phi, phi_inv
 from rdyck.classes import PathClass, _member_blocks, member
 from rdyck.compositions import _composition_text, _parse_composition, comp_to_path, path_to_comp
-from rdyck.core import DyckPath, RationalParam, _parse_int
+from rdyck.core import DyckPath, RationalParam, _index, _parse_int
 from rdyck.counting import _CLOSED_FORMS, _series_texts, class_gf, count_enumeration, count_recurrence
 
 __all__ = ["main", "run"]
@@ -60,14 +60,11 @@ def _ensure_cap(args: argparse.Namespace, n: int) -> None:
 
 def _semilength_arg(text: str) -> int:
     """argparse type of --n/--nmax, also used for RDYCK_MAX_N: a non-negative
-    integer in ASCII digits, else a usage error."""
+    integer in ASCII digits, by the library's own rule, else a usage error."""
     try:
-        value = _parse_int(text)
-        if value is not None and value >= 0:
-            return value
+        return _index(_parse_int(text), "n")
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}") from None
 
 
 def _q(args: argparse.Namespace) -> RationalParam:
@@ -296,7 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     """Parse ``argv``, execute, and return the exit code."""
-    parser = _build_parser()
     # argparse reads a value that starts with '-' and is not a plain negative
     # number as an option, so an R/S text after --q is attached to it as
     # --q=R/S would be, and reaches RationalParam the same way
@@ -306,8 +302,10 @@ def run(argv: list[str] | None = None) -> int:
             attached[-1] = f"--q={text}"
         else:
             attached.append(text)
+    # no name keeps the parser, so the handler runs without it: verify's
+    # lazy import of rdyck.verify would otherwise stack its compile on it
     try:
-        args = parser.parse_args(attached)
+        args = _build_parser().parse_args(attached)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -37,7 +37,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from rdyck.core import DyckPath, RationalParam, _parse_int, _part_sizes, _scan_blocks, min_valleys, part_size
+from rdyck.core import DyckPath, RationalParam, _index, _parse_int, _part_sizes, _scan_blocks
+from rdyck.core import min_valleys, part_size
 
 __all__ = ["comp_to_path", "enumerate_compositions", "path_to_comp"]
 
@@ -46,9 +47,7 @@ def enumerate_compositions(q: RationalParam, finite: bool, n: int) -> tuple[tupl
     """Every composition of ``n`` over the full part set, or the capped one
     when ``finite``, in lexicographic part order: the walk
     ``_descending_compositions`` reversed."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return tuple(reversed(tuple(_descending_compositions(q, finite, n))))
+    return tuple(reversed(tuple(_descending_compositions(q, finite, _index(n, "n")))))
 
 
 def _descending_compositions(q: RationalParam, finite: bool, n: int) -> Iterator[tuple[int, ...]]:

@@ -178,6 +178,15 @@ def _parse_int(text: str) -> int | None:
     return int(text) if digits.isascii() and digits.isdigit() else None
 
 
+def _index(n: object, name: str) -> int:
+    """``n`` when it is a semilength or series order: an ``int`` >= 0, and
+    not a bool, which is an int subclass.  Anything else raises the one
+    ValueError of every entry point, which names the argument ``name``."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
+    return n
+
+
 class RationalParam(_Frozen):
     """A positive rational r/s in lowest terms; the parameter of every family here.
 

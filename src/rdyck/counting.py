@@ -49,8 +49,8 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from itertools import repeat
 
-from rdyck.classes import PathClass, _member_blocks
-from rdyck.core import RationalParam, _Frozen, _part_sizes, part_size
+from rdyck.classes import PathClass, _family, _member_blocks
+from rdyck.core import RationalParam, _Frozen, _index, _part_sizes, part_size
 
 __all__ = [
     "RationalSeries",
@@ -164,7 +164,7 @@ _CLOSED_FORMS = {
 
 def class_gf(q: RationalParam, path_class: PathClass) -> RationalSeries:
     """The generating function whose coefficients count the given family."""
-    return _CLOSED_FORMS[path_class.value](q)
+    return _CLOSED_FORMS[_family(path_class).value](q)
 
 
 def series_coeffs(series: RationalSeries, order: int) -> tuple[int, ...]:
@@ -173,8 +173,7 @@ def series_coeffs(series: RationalSeries, order: int) -> tuple[int, ...]:
     Standard linear-recurrence expansion: a_n = num_n - sum_{j>=1} den_j * a_{n-j}.
     The coefficients are counts, so a negative one raises ``ValueError``.
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _index(order, "order")
     num, den = series.numerator, series.denominator
     coeffs: list[int] = []
     for n in range(order + 1):
@@ -201,8 +200,7 @@ def _series_texts(series: RationalSeries, order: int) -> Iterator[str]:
     error of :func:`series_coeffs`.  The text of an integer-valued decimal
     takes time linear in its length and meets no int-to-text digit limit.
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _index(order, "order")
     # imported here, not at the top: launches that print no series skip it
     from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN
     from decimal import Context, Inexact, InvalidOperation, Overflow, Rounded
@@ -273,9 +271,8 @@ def count_recurrence(q: RationalParam, path_class: PathClass, order: int) -> tup
     checked apart from it, by ``test_part_sizes_are_periodic`` and by
     :func:`check_sum_identity`, which lists every part size directly.
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    rational = path_class is PathClass.RATIONAL
+    _index(order, "order")
+    rational = _family(path_class) is PathClass.RATIONAL
     period = q.r + q.s
     exponents = _part_sizes(q, True, order)
     values = [1]
@@ -307,8 +304,8 @@ def count_enumeration(q: RationalParam, path_class: PathClass, order: int) -> tu
     Each member is built and validated, a block of step text at a time, then
     counted and dropped, so no set is held in memory.
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _index(order, "order")
+    _family(path_class)
     return tuple(sum(count for _, count in _member_blocks(q, path_class, n)) for n in range(order + 1))
 
 
@@ -320,6 +317,7 @@ def check_sum_identity(q: RationalParam, order: int) -> bool:
     The left side enumerates its exponents directly; the right side goes
     through the series expander, so the two routes are independent.
     """
+    _index(order, "order")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     direct = [0] * (order + 1)

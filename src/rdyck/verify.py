@@ -23,7 +23,7 @@ from rdyck import classes
 from rdyck.bijection import _phi_inv_text, _phi_text, collision_pair
 from rdyck.classes import PathClass, _block_texts, _member_blocks, _member_texts
 from rdyck.compositions import _comp_text, _composition_text, _descending_compositions, _text_parts
-from rdyck.core import RationalParam, semilength, valley_slope
+from rdyck.core import RationalParam, _index, semilength, valley_slope
 from rdyck.counting import check_sum_identity, class_gf, count_recurrence, series_coeffs
 
 
@@ -216,12 +216,10 @@ def _bijection_fault(q: RationalParam, t: int, n: int, domain: list[str], codoma
 def oracle_generate(q: RationalParam, n: int) -> dict[PathClass, tuple[str, ...]]:
     """Brute-force counterpart of ``generate``: the step texts of semilength
     ``n`` in each family, in U < D order, the stream ``_oracle_chunks``
-    collected into one tuple per family; a negative ``n`` raises
-    ``generate``'s ``ValueError``."""
-    if n < 0:
-        raise ValueError(f"semilength must be >= 0, got {n}")
+    collected into one tuple per family; a bad ``n`` raises ``generate``'s
+    ``ValueError``."""
     families: dict[PathClass, list[str]] = {path_class: [] for path_class in PathClass}
-    for chunk in _oracle_chunks(q, n):
+    for chunk in _oracle_chunks(q, _index(n, "n")):
         for path_class, texts in chunk.items():
             families[path_class].extend(texts)
     return {path_class: tuple(texts) for path_class, texts in families.items()}

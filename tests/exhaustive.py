@@ -1,9 +1,9 @@
 """The unpruned exhaustive search over height-two paths, shared by the tests.
 
-Not a test module.  The library runs only the pruned search behind
-``rdyck.verify.oracle_generate``; this one is the reference that the
-pruning is checked against, and the tests' source of every short
-height-two path.
+Not a test module.  The library runs only the pruned search of
+``rdyck.verify._oracle_chunks``, which ``oracle_generate`` collects for the
+tests; this one is the reference that the pruning is checked against, and
+the tests' source of every short height-two path.
 """
 
 from rdyck import DyckPath

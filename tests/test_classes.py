@@ -316,7 +316,7 @@ class TestStreaming:
 
     def test_negative_semilength_raises_at_the_call(self):
         for route in (generate, _member_texts):
-            with pytest.raises(ValueError, match="semilength must be >= 0, got -1"):
+            with pytest.raises(ValueError, match="n must be a non-negative integer, got -1"):
                 route(RationalParam(1, 1), PathClass.QUASI, -1)
 
     def test_memory_is_bounded(self):
@@ -423,7 +423,7 @@ class TestOracle:
 
     def test_negative_semilength_raises(self):
         # as generate does, rather than returning three empty families
-        with pytest.raises(ValueError, match="semilength must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="n must be a non-negative integer, got -1"):
             oracle_generate(RationalParam(3, 4), -1)
 
     @pytest.mark.parametrize("r,s", [(3, 4), (1, 1)], ids=["3/4", "1/1"])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -464,6 +465,34 @@ def test_cli_imports_no_heavy_modules():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [("member", "--class", "r", "--q", "3/4", "UD"), ("verify", "--q", "3/4", "--nmax", "2")],
+    ids=["member", "verify"],
+)
+def test_parser_is_freed_before_the_command_runs(capsys, monkeypatch, argv):
+    # verify imports rdyck.verify in its handler, and its compile would stack
+    # on a parser of every subcommand still alive; _cap runs after parsing
+    # and before the handler, so it sees whether anything still holds it
+    build, cap = rdyck.cli._build_parser, rdyck.cli._cap
+    parsers, freed = [], []
+
+    def watched_build():
+        parser = build()
+        parsers.append(weakref.ref(parser))
+        return parser
+
+    def watching_cap():
+        freed.append(parsers[-1]() is None)
+        return cap()
+
+    monkeypatch.setattr(rdyck.cli, "_build_parser", watched_build)
+    monkeypatch.setattr(rdyck.cli, "_cap", watching_cap)
+    assert run(list(argv)) == 0
+    capsys.readouterr()
+    assert freed == [True]
+
+
+@pytest.mark.parametrize(
     "argv,read_first",
     [
         (("enumerate", "--class", "r", "--q", "1/1", "--n", "20"), True),
@@ -510,6 +539,11 @@ class TestMap:
         code, _, err = invoke(capsys, "map", "path2comp", "--q", "3/4", "UUDDUDUUDUDDUDUD")
         assert code == 1
         assert err.startswith("error:")
+
+    def test_taller_path_is_domain_error(self, capsys):
+        code, out, err = invoke(capsys, "map", "path2comp", "--q", "3/4", "UUUDDD")
+        assert (code, out) == (1, "")
+        assert err == "error: path is not a rational-family member for 3/4: 'UUUDDD'\n"
 
 
 class TestPhiCommands:

@@ -161,6 +161,9 @@ class TestMapping:
             path_to_comp(RationalParam(3, 4), DyckPath("UUDDUDUUDUDDUDUD"))
         with pytest.raises(ValueError):
             path_to_comp(RationalParam(1, 1), DyckPath("UUDD"))
+        # a valid path of height three has no blocks to read parts off
+        with pytest.raises(ValueError, match=r"^path is not a rational-family member for 3/4: 'UUUDDD'$"):
+            path_to_comp(RationalParam(3, 4), DyckPath("UUUDDD"))
 
     def test_round_trips(self):
         for r, s in Q_SAMPLE:

@@ -34,6 +34,10 @@ class TestParseRender:
         assert DyckPath("") == EMPTY_PATH
         assert EMPTY_PATH.steps == ""
 
+    @pytest.mark.parametrize("text", ["", "UD", "UUUDDD"])
+    def test_str_is_the_step_text(self, text):
+        assert str(DyckPath(text)) == text
+
     @pytest.mark.parametrize("text", ["UDD", "DU", "UUD", "UXD", "ud"])
     def test_rejects(self, text):
         with pytest.raises(ValueError):

@@ -189,7 +189,7 @@ class TestSeriesTexts:
             assert list(_series_texts(series, order)) == list(map(str, expected))
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ValueError, match="order must be >= 0"):
+        with pytest.raises(ValueError, match="order must be a non-negative integer, got -1"):
             list(_series_texts(rational_gf(RationalParam(1, 1)), -1))
 
     def test_rows_are_bounded_by_the_order(self):

@@ -7,7 +7,24 @@ import pytest
 
 import rdyck
 import rdyck.verify
+from rdyck import (
+    DyckPath,
+    PathClass,
+    RationalParam,
+    check_bijection,
+    check_sum_identity,
+    class_gf,
+    count_enumeration,
+    count_recurrence,
+    enumerate_compositions,
+    generate,
+    member,
+    rational_gf,
+    series_coeffs,
+)
+from rdyck.classes import _member_texts
 from rdyck.cli import run
+from rdyck.counting import _series_texts
 
 SUBMODULES = (rdyck.bijection, rdyck.classes, rdyck.compositions, rdyck.core, rdyck.counting)
 
@@ -57,6 +74,64 @@ class TestPublicNames:
     def test_removed_names_are_gone(self, name):
         assert name not in rdyck.__all__
         assert not hasattr(rdyck, name)
+
+
+Q = RationalParam(3, 4)
+
+# every entry point that takes a semilength or a series order, by the name of
+# that argument; _series_texts raises on its first next, as a generator
+SEMILENGTH_ROUTES = {
+    "generate": ("n", lambda n: generate(Q, PathClass.QUASI, n)),
+    "_member_texts": ("n", lambda n: _member_texts(Q, PathClass.QUASI, n)),
+    "check_bijection": ("n", lambda n: check_bijection(Q, n)),
+    "enumerate_compositions": ("n", lambda n: enumerate_compositions(Q, False, n)),
+    "oracle_generate": ("n", lambda n: rdyck.verify.oracle_generate(Q, n)),
+    "count_recurrence": ("order", lambda n: count_recurrence(Q, PathClass.QUASI, n)),
+    "count_enumeration": ("order", lambda n: count_enumeration(Q, PathClass.QUASI, n)),
+    "series_coeffs": ("order", lambda n: series_coeffs(rational_gf(Q), n)),
+    "_series_texts": ("order", lambda n: list(_series_texts(rational_gf(Q), n))),
+}
+
+
+class TestArguments:
+    @pytest.mark.parametrize("value", [-1, True, 2.0, 2.5, "3", None], ids=repr)
+    @pytest.mark.parametrize("route", sorted(SEMILENGTH_ROUTES))
+    def test_one_semilength_rule(self, route, value):
+        # a bool is an int subclass and 2.0 equals 2, but neither is a semilength
+        name, call = SEMILENGTH_ROUTES[route]
+        with pytest.raises(ValueError) as error:
+            call(value)
+        assert str(error.value) == f"{name} must be a non-negative integer, got {value!r}"
+
+    def test_series_texts_check_on_the_first_next(self):
+        texts = _series_texts(rational_gf(Q), -1)
+        with pytest.raises(ValueError, match="^order must be a non-negative integer, got -1$"):
+            next(texts)
+
+    def test_sum_identity_takes_the_rule_then_its_own_bound(self):
+        with pytest.raises(ValueError, match="^order must be a non-negative integer, got True$"):
+            check_sum_identity(Q, True)
+        with pytest.raises(ValueError, match="^order must be >= 1, got 0$"):
+            check_sum_identity(Q, 0)
+
+    @pytest.mark.parametrize("family", ["quasi", "QUASI", None, 2], ids=repr)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda family: member(Q, family, DyckPath("UUDD")),
+            lambda family: generate(Q, family, 3),
+            lambda family: count_recurrence(Q, family, 6),
+            lambda family: count_enumeration(Q, family, 6),
+            lambda family: class_gf(Q, family),
+        ],
+        ids=["member", "generate", "count_recurrence", "count_enumeration", "class_gf"],
+    )
+    def test_family_must_be_a_path_class(self, call, family):
+        # the rules tell the families apart by identity, so a string would
+        # silently get the restricted family's; it is refused, not coerced
+        with pytest.raises(ValueError) as error:
+            call(family)
+        assert str(error.value) == f"path_class must be a PathClass member, got {family!r}"
 
 
 def test_no_module_keeps_a_cache(capsys):

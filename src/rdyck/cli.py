@@ -20,7 +20,7 @@ from rdyck.bijection import check_bijection, phi, phi_inv
 from rdyck.classes import PathClass, _member_blocks, member
 from rdyck.compositions import _composition_text, _parse_composition, comp_to_path, path_to_comp
 from rdyck.core import DyckPath, RationalParam, _index, _parse_int
-from rdyck.counting import _CLOSED_FORMS, _series_texts, class_gf, count_enumeration, count_recurrence
+from rdyck.counting import _CLOSED_FORMS, _recurrence_texts, _series_texts, class_gf, count_enumeration
 
 __all__ = ["main", "run"]
 
@@ -76,16 +76,8 @@ def _print_counts(fmt: str, texts: dict[str, Iterable[str]]) -> None:
     a list for one method, an object keyed by method for several.
 
     The texts are written one by one as they are taken, so no table's text
-    is ever held in memory.  Tables reach here as ``map(str, ...)``, and
-    counts at large semilengths have more digits than Python's default
-    int-to-text limit allows, so the limit is lifted while writing and
-    restored afterwards (Python 3.10.0-3.10.6 has no limit).  Series texts
-    come from :func:`rdyck.counting._series_texts` as the text of exact
-    decimals, so no int is converted for them and they never meet it.
+    is ever held in memory.
     """
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
     write = sys.stdout.write
 
     def write_joined(values: Iterable[str], separator: str) -> None:
@@ -94,24 +86,20 @@ def _print_counts(fmt: str, texts: dict[str, Iterable[str]]) -> None:
             write(lead + text)
             lead = separator
 
-    try:
-        if fmt == "json":
-            keyed = len(texts) > 1
-            write("{" if keyed else "")
-            for i, (method, values) in enumerate(texts.items()):
-                # a method name is plain ASCII, so its JSON string is the name in quotes
-                key = f'"{method}": ' if keyed else ""
-                write(f"{', ' if i else ''}{key}[")
-                write_joined(values, ", ")
-                write("]")
-            write("}\n" if keyed else "\n")
-        else:
-            for values in texts.values():
-                write_joined(values, ",")
-                write("\n")
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    if fmt == "json":
+        keyed = len(texts) > 1
+        write("{" if keyed else "")
+        for i, (method, values) in enumerate(texts.items()):
+            # a method name is plain ASCII, so its JSON string is the name in quotes
+            key = f'"{method}": ' if keyed else ""
+            write(f"{', ' if i else ''}{key}[")
+            write_joined(values, ", ")
+            write("]")
+        write("}\n" if keyed else "\n")
+    else:
+        for values in texts.values():
+            write_joined(values, ",")
+            write("\n")
 
 
 def _cmd_member(args: argparse.Namespace) -> int:
@@ -150,7 +138,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             _ensure_cap(args, args.nmax)
             texts[method] = map(str, count_enumeration(q, path_class, args.nmax))
         elif method == "recurrence":
-            texts[method] = map(str, count_recurrence(q, path_class, args.nmax))
+            texts[method] = _recurrence_texts(q, path_class, args.nmax)
         else:
             texts[method] = _series_texts(class_gf(q, path_class), args.nmax)
     _print_counts(args.format, texts)

@@ -183,7 +183,11 @@ def _index(n: object, name: str) -> int:
     not a bool, which is an int subclass.  Anything else raises the one
     ValueError of every entry point, which names the argument ``name``."""
     if type(n) is not int or n < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
+        # Python may refuse to write an int of more than 640 digits, its
+        # strictest int-to-text limit, so a longer one is named by its size
+        huge = type(n) is int and n <= -(10**640)
+        shown = f"a negative int of {n.bit_length()} bits" if huge else repr(n)
+        raise ValueError(f"{name} must be a non-negative integer, got {shown}")
     return n
 
 

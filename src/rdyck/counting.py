@@ -28,19 +28,21 @@ integer-valued decimals where a series is printed (below).  A polynomial
 is a tuple of coefficients indexed by exponent, built as a dense list, and a
 table of counts is a tuple indexed by semilength.
 
-Printing a series is a separate concern.  CPython turns an int into decimal
-text in time quadratic in its digits, and the rational counts at semilength
-17,000 have over 4,000 digits.  So the CLI prints series coefficients through
-:func:`_series_texts`, which runs the same recurrence as
-:func:`series_coeffs` on ``decimal.Decimal`` values and yields each
-coefficient as text, in time linear in its length and keeping only the last
-few rows.  Its private context has the largest precision and exponent range
-and traps ``Inexact``, ``Rounded``, ``Overflow`` and ``InvalidOperation``, so
-every value is an exact integer and a result that would be rounded raises:
-the arithmetic is still on integers only, held in base 10^19 rather than
-base 2^30.  It is an output path, not a fourth counting route: the
-cross-checks compare the three routes through :func:`series_coeffs`, and the
-tests compare :func:`_series_texts` with it.
+Printing a series or a count table is a separate concern.  CPython turns an
+int into decimal text in time quadratic in its digits, and the rational
+counts at semilength 17,000 have over 4,000 digits.  So the CLI prints them
+from exact decimals: series coefficients through :func:`_series_texts`, which
+runs the same recurrence as :func:`series_coeffs` on ``decimal.Decimal``
+values, and recurrence counts through :func:`_recurrence_texts`, which runs
+the very body of :func:`count_recurrence` with the decimal 1 in place of the
+int 1.  Each yields one value's text at a time, in time linear in its length,
+and keeps only the last few rows or a window of fewer than 2(r + s) counts,
+so no table is held.  Both work in the context of :func:`_exact_context`,
+where every value is an exact integer and a result that would be rounded
+raises: the arithmetic is still on integers only, held in base 10^19 rather
+than base 2^30.  These are output paths, not further counting routes: the
+cross-checks compare the three routes on ints, and the tests compare each
+text route with the ints of the function it mirrors.
 """
 
 from __future__ import annotations
@@ -185,32 +187,40 @@ def series_coeffs(series: RationalSeries, order: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _exact_context():
+    """The ``decimal.Context`` in which the CLI's decimals are exact integers.
+
+    It has the largest precision and exponent range and traps ``Inexact``,
+    ``Rounded``, ``Overflow`` and ``InvalidOperation``, so every result of
+    integers is an integer with exponent 0, and one that would be rounded
+    raises instead.  So this is still integer arithmetic, held in base 10^19
+    words by libmpdec, and the text of each value takes time linear in its
+    length and meets no int-to-text digit limit.
+    """
+    # imported here, not at the top: launches that print no decimals skip it
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN
+    from decimal import Context, Inexact, InvalidOperation, Overflow, Rounded
+
+    # the rounding is pinned so that no change to decimal.DefaultContext can
+    # give a zero sum the sign bit
+    return Context(
+        prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN,
+        traps=[Inexact, Rounded, Overflow, InvalidOperation],
+    )
+
+
 def _series_texts(series: RationalSeries, order: int) -> Iterator[str]:
     """The decimal texts of a_0..a_order, as :func:`series_coeffs` would give
     them through ``str``, computed on exact decimals.
 
     Each a_n is a ``decimal.Decimal``, taken as the linear combination of the
     last min(deg(den), order + 1) rows.  Every step goes through the methods
-    of one private ``Context`` of the largest precision and exponent range,
-    which traps ``Inexact``, ``Rounded``, ``Overflow`` and
-    ``InvalidOperation``: each value is an integer with exponent 0, and a
-    result that would be rounded raises instead.  So this is still integer
-    arithmetic, held in base 10^19 words by libmpdec, and the caller's
-    thread context is neither read nor changed.  A negative coefficient raises the
-    error of :func:`series_coeffs`.  The text of an integer-valued decimal
-    takes time linear in its length and meets no int-to-text digit limit.
+    of :func:`_exact_context`, so the caller's thread context is neither read
+    nor changed.  A negative coefficient raises the error of
+    :func:`series_coeffs`.
     """
     _index(order, "order")
-    # imported here, not at the top: launches that print no series skip it
-    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN
-    from decimal import Context, Inexact, InvalidOperation, Overflow, Rounded
-
-    # the rounding is pinned so that no change to decimal.DefaultContext can
-    # give a zero sum the sign bit
-    exact = Context(
-        prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN,
-        traps=[Inexact, Rounded, Overflow, InvalidOperation],
-    )
+    exact = _exact_context()
     add, subtract, fma, text = exact.add, exact.subtract, exact.fma, exact.to_sci_string
     zero = exact.create_decimal(0)
     num = [exact.create_decimal(c) for c in series.numerator[: order + 1]]
@@ -261,8 +271,12 @@ def count_recurrence(q: RationalParam, path_class: PathClass, order: int) -> tup
         L_n = sum over p <= r with e_p < n of c_{n - e_p}  +  L_{n-(r+s)}
 
     and each n costs at most r additions plus the folded sum, O(order * r)
-    in all.  The last min(r+s, order) lead-in sums are kept, and only the
-    p <= r part sizes are ever computed.
+    in all.  Only the p <= r part sizes are ever computed, and the largest of
+    them, e_r = r + ceil(rs/r) = r + s, is the farthest back any step reads:
+    the larger ones are folded into L_{n-(r+s)}, itself r + s back.  So the
+    window bound is r + s: the counts are kept in a list that is cut back to
+    its last r + s whenever it reaches 2(r + s), the lead-in sums in a deque
+    of r + s, and memory follows r + s and the counts' size, not the order.
 
     This route is the cross-check of the closed forms, so it reads none of
     their code: no :func:`series_coeffs`, :func:`class_gf` or run sum, and
@@ -271,31 +285,71 @@ def count_recurrence(q: RationalParam, path_class: PathClass, order: int) -> tup
     checked apart from it, by ``test_part_sizes_are_periodic`` and by
     :func:`check_sum_identity`, which lists every part size directly.
     """
+    return tuple(_recurrence(q, path_class, order, 1))
+
+
+def _recurrence(q: RationalParam, path_class: PathClass, order: int, one: int) -> Iterator[int]:
+    """Yield c_0..c_order of :func:`count_recurrence`, with ``one`` as c_0.
+
+    The body only adds, so it runs as well on any number type whose sums are
+    exact: ``one`` is the int 1, or the exact decimal 1 of
+    :func:`_recurrence_texts`, and the counts are of its type.
+    """
     _index(order, "order")
     rational = _family(path_class) is PathClass.RATIONAL
     period = q.r + q.s
     exponents = _part_sizes(q, True, order)
-    values = [1]
+    # c_m is values[m - offset]; the list is cut back to the last period
+    # counts whenever it reaches twice that, so it never holds more
+    values = [one]
+    offset = 0
     # the rational family's lead-in sums L_{n-period} .. L_{n-1}, at most
     # min(period, order) of them; sums[0] is L_{n-period} once n > period
     sums: deque[int] = deque(maxlen=period)
-    # exponents[:below] are the ones < n; they are distinct and ascending, so
+    # the exponents < n, largest first; they are distinct and ascending, so
     # at most one more joins them at each n
-    below = 0
+    lags: list[int] = []
+    yield one
     for n in range(1, order + 1):
-        total = values[n - 1]
+        total = values[-1]
         if path_class is PathClass.QUASI and 2 <= n <= period:
-            total += 1
-        if below < len(exponents) and exponents[below] < n:
-            below += 1
+            total += one
+        if len(lags) < len(exponents) and exponents[len(lags)] < n:
+            lags.insert(0, exponents[len(lags)])
+        at = n - offset
         # the folded sum and the largest exponents first, so the smallest
         # values: the partial sums stay short until the last few terms
         lead = sums[0] if rational and n > period else 0
-        lead += sum(values[n - e] for e in reversed(exponents[:below]))
+        lead += sum(values[at - e] for e in lags)
         if rational:
             sums.append(lead)
         values.append(total + lead)
-    return tuple(values)
+        yield values[-1]
+        if at + 1 == 2 * period:
+            del values[:period]
+            offset += period
+
+
+def _recurrence_texts(q: RationalParam, path_class: PathClass, order: int) -> Iterator[str]:
+    """The decimal texts of :func:`count_recurrence`'s counts, as ``str``
+    would give them, from :func:`_recurrence` run on exact decimals.
+
+    Every step runs in one copy of the caller's context variables, taken
+    once, in which :func:`_exact_context` is the thread's decimal context
+    (``decimal`` keeps it in a context variable).  So every sum is exact,
+    and the caller's own decimal context is neither read nor changed.
+    """
+    # decimal is loaded by _exact_context, so this import costs nothing more
+    from contextvars import copy_context
+    from decimal import setcontext
+
+    exact = _exact_context()
+    scope = copy_context()
+    scope.run(setcontext, exact)
+    values = _recurrence(q, path_class, order, exact.create_decimal(1))
+    text = exact.to_sci_string
+    while (value := scope.run(next, values, None)) is not None:
+        yield text(value)
 
 
 def count_enumeration(q: RationalParam, path_class: PathClass, order: int) -> tuple[int, ...]:

@@ -27,6 +27,7 @@ from rdyck import (
     series_coeffs,
 )
 from rdyck.cli import run
+from rdyck.counting import _recurrence_texts, _series_texts
 from rdyck.verify import oracle_generate
 
 needs_digit_limit = pytest.mark.skipif(
@@ -280,6 +281,25 @@ class TestCount:
             values = list(count_recurrence(RationalParam.from_string(q), path_class, nmax))
             assert out == json.dumps({"enumeration": values, "recurrence": values, "series": values}) + "\n"
 
+    def test_memory_is_bounded(self, monkeypatch):
+        # the recurrence's counts are written as they are made, and fewer
+        # than 2(r + s) of them are kept
+        table = count_recurrence(RationalParam(3, 4), PathClass.QUASI, 8000)
+        table_bytes = sum(map(sys.getsizeof, table))
+        sink = Discard()
+        monkeypatch.setattr(sys, "stdout", sink)
+        argv = ["count", "--class", "q", "--q", "3/4", "--nmax", "8000"]
+        run(argv[:-1] + ["10"])  # imports and caches of a first call are not the table's
+        tracemalloc.start()
+        try:
+            code = run(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.written > 2 * table_bytes
+        assert peak < table_bytes // 8
+
 
 class TestSeries:
     def test_quasi(self, capsys):
@@ -368,18 +388,38 @@ class TestDigitLimit:
     @needs_digit_limit
     def test_json_object_past_the_limit(self, capsys):
         # --all-methods includes enumeration, which cannot reach the limit, so the
-        # keyed form is written directly from two large tables
-        table = series_coeffs(rational_gf(RationalParam(1, 1)), 3000)
-        tables = {"recurrence": table, "series": table}
+        # keyed form is written directly from the two routes that can: both
+        # print decimal texts, so no int is converted and the limit stays
+        q = RationalParam(1, 1)
+        table = series_coeffs(rational_gf(q), 3000)
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            rdyck.cli._print_counts("json", {method: map(str, t) for method, t in tables.items()})
+            texts = {
+                "recurrence": _recurrence_texts(q, PathClass.RATIONAL, 3000),
+                "series": _series_texts(rational_gf(q), 3000),
+            }
+            rdyck.cli._print_counts("json", texts)
             assert sys.get_int_max_str_digits() == 640
         finally:
             sys.set_int_max_str_digits(previous)
-        expected = {method: list(table) for method, table in tables.items()}
+        expected = {method: list(table) for method in ("recurrence", "series")}
         assert capsys.readouterr().out == json.dumps(expected) + "\n"
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("fmt", ["lines", "json"])
+    def test_recurrence_past_the_limit(self, capsys, fmt):
+        # count's default method prints the recurrence's counts as decimals
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = invoke(capsys, "count", "--class", "r", "--q", "1/1", "--nmax", "3000", "--format", fmt)
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert (code, err) == (0, "")
+        expected = list(count_recurrence(RationalParam(1, 1), PathClass.RATIONAL, 3000))
+        assert out == (json.dumps(expected) if fmt == "json" else ",".join(map(str, expected))) + "\n"
 
     def test_json_all_methods_bytes(self, capsys):
         code, out, _ = invoke(
@@ -399,7 +439,9 @@ class TestDigitLimit:
         ],
     )
     def test_python_without_the_limit(self, capsys, monkeypatch, argv, fmt):
-        # Python 3.10.0-3.10.6 has neither function; the output must not change
+        # Python 3.10.0-3.10.6 has neither function, and no command needs
+        # them: large values are printed as decimals, and only enumeration's
+        # small counts go through str; the output must not change
         argv = (*argv, "--format", fmt)
         expected = invoke(capsys, *argv)
         monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)

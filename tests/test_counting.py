@@ -25,7 +25,7 @@ from rdyck import (
     series_coeffs,
 )
 from rdyck.core import _part_sizes
-from rdyck.counting import _series_texts
+from rdyck.counting import _recurrence_texts, _series_texts
 
 Q_SAMPLE = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 5)]
 
@@ -242,18 +242,23 @@ class TestSeriesTexts:
         assert not any(caller.flags.values())
 
     def test_exact_without_the_c_module(self):
-        # with _decimal unimportable, decimal falls back on _pydecimal
+        # with _decimal unimportable, decimal falls back on _pydecimal, and
+        # the recurrence's texts take its context the same way
         probe = """
 import sys
 sys.modules["_decimal"] = None
 import decimal
-from rdyck import RationalParam, compositions_gf, quasi_gf, rational_gf, restricted_gf, series_coeffs
-from rdyck.counting import _series_texts
+from rdyck import PathClass, RationalParam, compositions_gf, count_recurrence, quasi_gf, rational_gf
+from rdyck import restricted_gf, series_coeffs
+from rdyck.counting import _recurrence_texts, _series_texts
 assert decimal.Context is sys.modules["_pydecimal"].Context
 for q in (RationalParam(3, 4), RationalParam(1, 1)):
     for gf in (rational_gf, restricted_gf, quasi_gf, compositions_gf):
         series = gf(q)
         assert list(_series_texts(series, 300)) == list(map(str, series_coeffs(series, 300))), (q, gf)
+    for family in PathClass:
+        texts = list(_recurrence_texts(q, family, 300))
+        assert texts == list(map(str, count_recurrence(q, family, 300))), (q, family)
 print("ok")
 """
         src = os.path.dirname(os.path.dirname(rdyck.counting.__file__))
@@ -351,6 +356,50 @@ class TestRecurrence:
                 rec = count_recurrence(q, cls, 10)
                 ser = series_coeffs(class_gf(q, cls), 10)
                 assert enum == rec == ser
+
+
+class TestRecurrenceTexts:
+    @pytest.mark.parametrize("family", list(PathClass), ids=lambda family: family.value)
+    @pytest.mark.parametrize("r,s", [(1, 1), (3, 4), (3, 2), (7, 20), (20, 7), (999, 1000)])
+    def test_equal_to_str_of_the_counts(self, r, s, family):
+        # the window holds the last r + s counts and is cut back to them
+        # whenever it reaches 2(r + s), first at n = 2(r + s) - 1; each order
+        # ends a run at one edge of that, and 7(r + s) + 3 past six cuts
+        q = RationalParam(r, s)
+        period = r + s
+        orders = [0, 1, period - 1, period, period + 1, 2 * period - 1, 2 * period, 2 * period + 1, 7 * period + 3]
+        if r == 999:
+            # a run here costs 0.1-0.4 s: one ends on each side of the first cut
+            orders = [0, 1, period + 1, 2 * period + 1]
+        expected = list(map(str, count_recurrence(q, family, max(orders))))
+        for order in orders:
+            assert list(_recurrence_texts(q, family, order)) == expected[: order + 1], order
+
+    def test_caller_context_is_neither_read_nor_changed(self):
+        # a caller's context of 5 digits that traps Inexact would raise on the
+        # first sum of six digits, had a step read it; the counts pass six
+        # digits at n = 22 and ten at n = 38
+        q = RationalParam(1, 1)
+        expected = list(map(str, count_recurrence(q, PathClass.RATIONAL, 3000)))
+        texts = _recurrence_texts(q, PathClass.RATIONAL, 3000)
+        with decimal.localcontext(decimal.Context(prec=5, traps=[decimal.Inexact])) as caller:
+            head = []
+            for _ in range(60):
+                head.append(next(texts))
+                assert decimal.getcontext() is caller
+                assert caller.prec == 5 and caller.traps[decimal.Inexact]
+                assert not any(caller.flags.values())
+            with pytest.raises(decimal.Inexact):
+                decimal.Decimal(head[-1]) + 1
+            caller.clear_flags()
+            rest = list(texts)
+            assert decimal.getcontext() is caller
+            assert not any(caller.flags.values())
+        assert head + rest == expected
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="order must be a non-negative integer, got -1"):
+            list(_recurrence_texts(RationalParam(1, 1), PathClass.QUASI, -1))
 
 
 class TestIdentities:

@@ -1,5 +1,6 @@
 import re
 import shlex
+import sys
 import tokenize
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from rdyck import (
 )
 from rdyck.classes import _member_texts
 from rdyck.cli import run
-from rdyck.counting import _series_texts
+from rdyck.counting import _recurrence_texts, _series_texts
 
 SUBMODULES = (rdyck.bijection, rdyck.classes, rdyck.compositions, rdyck.core, rdyck.counting)
 
@@ -79,7 +80,8 @@ class TestPublicNames:
 Q = RationalParam(3, 4)
 
 # every entry point that takes a semilength or a series order, by the name of
-# that argument; _series_texts raises on its first next, as a generator
+# that argument; _series_texts and _recurrence_texts raise on their first
+# next, as generators
 SEMILENGTH_ROUTES = {
     "generate": ("n", lambda n: generate(Q, PathClass.QUASI, n)),
     "_member_texts": ("n", lambda n: _member_texts(Q, PathClass.QUASI, n)),
@@ -90,6 +92,7 @@ SEMILENGTH_ROUTES = {
     "count_enumeration": ("order", lambda n: count_enumeration(Q, PathClass.QUASI, n)),
     "series_coeffs": ("order", lambda n: series_coeffs(rational_gf(Q), n)),
     "_series_texts": ("order", lambda n: list(_series_texts(rational_gf(Q), n))),
+    "_recurrence_texts": ("order", lambda n: list(_recurrence_texts(Q, PathClass.QUASI, n))),
 }
 
 
@@ -102,6 +105,36 @@ class TestArguments:
         with pytest.raises(ValueError) as error:
             call(value)
         assert str(error.value) == f"{name} must be a non-negative integer, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "limit",
+        [
+            pytest.param(None, id="default-limit"),
+            pytest.param(
+                640, id="limit-640",
+                marks=pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit"),
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("digits", [640, 641, 5001])
+    @pytest.mark.parametrize("route", sorted(SEMILENGTH_ROUTES))
+    def test_long_negative_int(self, route, digits, limit):
+        # Python refuses to write an int of more digits than its int-to-text
+        # limit, 4300 by default and 640 at the least, so past 640 digits the
+        # rule names the int by its size, whatever the limit
+        name, call = SEMILENGTH_ROUTES[route]
+        value = -(10 ** (digits - 1))
+        shown = repr(value) if digits <= 640 else f"a negative int of {value.bit_length()} bits"
+        previous = sys.get_int_max_str_digits() if limit else None
+        if limit:
+            sys.set_int_max_str_digits(limit)
+        try:
+            with pytest.raises(ValueError) as error:
+                call(value)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(previous)
+        assert str(error.value) == f"{name} must be a non-negative integer, got {shown}"
 
     def test_series_texts_check_on_the_first_next(self):
         texts = _series_texts(rational_gf(Q), -1)

@@ -34,18 +34,21 @@ and still covers it, but it stops being injective.
 :func:`collision_pair` builds an explicit colliding pair.
 
 The map and its inverse are private cores on step texts, ``_phi_text`` and
-``_phi_inv_text``, which take their input as checked.  ``_phi_text`` keeps
-the map's two self-checks (the final block it expects, and the closed form
-for h against the minimal search); ``_apply`` adds the check that the image
-is restricted.  :func:`phi` and :func:`phi_inv` are thin wrappers that test
-membership and wrap the result in a path, :func:`check_bijection` maps the
-family's texts through ``_apply``, and ``rdyck verify`` calls both cores on
-the oracle's quasi family, comparing every image with the oracle's
+``_phi_inv_text``, which take their input as checked.  Both copy the text
+before the final block and rewrite only that block, through a table of new
+final blocks that the caller owns, so ``_phi_text``'s two self-checks (the
+final block it expects, and the closed form for h against the minimal
+search) run once per distinct final block; ``_apply`` adds the check that
+the image is restricted.  :func:`phi` and :func:`phi_inv` are thin wrappers
+that test membership and wrap the result in a path, :func:`check_bijection`
+maps the family's texts through ``_apply``, and ``rdyck verify`` calls both
+cores on the oracle's quasi family, comparing every image with the oracle's
 restricted family.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import combinations
 
 from rdyck.classes import PathClass, _accepts, _member_texts, member
@@ -103,7 +106,7 @@ def phi(q: RationalParam, path: DyckPath) -> DyckPath:
         raise ValueError(f"the map needs s = t*r + 1; {q} admits no such t")
     if not member(q, PathClass.QUASI, path):
         raise ValueError(f"path is not a quasi-family member for {q}: {path.steps!r}")
-    return DyckPath(_apply(q, t, path.steps))
+    return DyckPath(_apply(q, t, path.steps, {}))
 
 
 def phi_inv(q: RationalParam, path: DyckPath) -> DyckPath:
@@ -115,7 +118,7 @@ def phi_inv(q: RationalParam, path: DyckPath) -> DyckPath:
         raise ValueError(f"path is not a restricted-family member for {q}: {path.steps!r}")
     if semilength(path) < t + 1:
         raise ValueError(f"semilength {semilength(path)} is too small to be an image; need >= {t + 1}")
-    source = DyckPath(_phi_inv_text(q, t, path.steps))
+    source = DyckPath(_phi_inv_text(q, t, path.steps, {}))
     if not member(q, PathClass.QUASI, source):
         raise RuntimeError(f"preimage fell outside the quasi family: {source.steps!r}")
     return source
@@ -134,8 +137,9 @@ def check_bijection(q: RationalParam, n: int) -> PhiReport:
     domain = _member_texts(q, PathClass.QUASI, n)
     codomain = _member_texts(q, PathClass.RESTRICTED, n + t + 1)
     fibers: dict[str, list[str]] = {}
+    tails: dict[str, str] = {}
     for source in domain:
-        fibers.setdefault(_apply(q, t, source), []).append(source)
+        fibers.setdefault(_apply(q, t, source, tails), []).append(source)
     collisions: list[tuple[DyckPath, DyckPath]] = []
     # U < D order: the images share one length, so it is text order reversed
     for image in sorted(fibers, reverse=True):
@@ -189,7 +193,7 @@ def collision_pair(q: RationalParam) -> tuple[DyckPath, DyckPath]:
             raise RuntimeError(f"constructed path fell outside the quasi family: {candidate.steps!r}")
     if swollen == tight:
         raise RuntimeError("constructed pair is not distinct")
-    if _apply(q, t, swollen.steps) != _apply(q, t, tight.steps):
+    if _apply(q, t, swollen.steps, {}) != _apply(q, t, tight.steps, {}):
         raise RuntimeError("constructed pair does not collide")
     return (swollen, tight)
 
@@ -216,39 +220,62 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _phi_text(q: RationalParam, t: int, text: str) -> str:
+def _phi_text(q: RationalParam, t: int, text: str, tails: dict[str, str]) -> str:
     """The image's text of the quasi member ``text``: h = the fewest peaks of
     the final block turned into valleys, then t + 1 valleys added.  The
-    caller has checked that ``text`` is a quasi member."""
+    caller has checked that ``text`` is a quasi member; ``tails`` is the
+    table of ``_new_final_block``."""
     if not text:
         return "UD" * (t + 1)
-    # UD has no blocks; it is read as the single block (0, 0)
-    *head, (peaks, valleys) = _scan_blocks(text) or ((0, 0),)
+    return _new_final_block(q, t, text, tails, _phi_block)
+
+
+def _phi_block(q: RationalParam, t: int, peaks: int, valleys: int) -> tuple[int, int]:
+    # the image's final block, after the map's two self-checks
     if valleys and peaks != q.r and valleys < _demand(q, peaks):
         raise RuntimeError(f"unexpected final block {(peaks, valleys)} outside the restricted family")
     h = _min_conversion(q, t, peaks, valleys)
     if q.s == t * q.r + 1 and h != max(0, _ceil_div(peaks * t - valleys + 1, t + 1) - 1):
         raise RuntimeError("conversion count: closed form and minimal search disagree")
-    return _render_blocks((*head, (peaks - h, valleys + h + t + 1)))
+    return peaks - h, valleys + h + t + 1
 
 
-def _phi_inv_text(q: RationalParam, t: int, text: str) -> str:
+def _phi_inv_text(q: RationalParam, t: int, text: str, tails: dict[str, str]) -> str:
     """The preimage's text of the restricted member ``text`` of semilength
     >= t + 1: the t + 1 valleys stripped off the final block, which is packed
     peaks first when that leaves it short of its demand.  The caller has
-    checked ``text``."""
+    checked ``text``; ``tails`` is as in ``_phi_text``."""
     if text == "UD" * (t + 1):
         return ""
-    *head, (peaks, valleys) = _scan_blocks(text)
+    return _new_final_block(q, t, text, tails, _phi_inv_block)
+
+
+def _phi_inv_block(q: RationalParam, t: int, peaks: int, valleys: int) -> tuple[int, int]:
     valleys -= t + 1
-    if valleys < _demand(q, peaks):
-        peaks, valleys = _peaks_first(q, peaks + valleys)
-    return _render_blocks((*head, (peaks, valleys)))
+    return (peaks, valleys) if valleys >= _demand(q, peaks) else _peaks_first(q, peaks + valleys)
 
 
-def _apply(q: RationalParam, t: int, text: str) -> str:
+def _new_final_block(
+    q: RationalParam, t: int, text: str, tails: dict[str, str], rewrite: Callable[..., tuple[int, int]]
+) -> str:
+    """``text``, a nonempty path, with its final block (p, v) replaced by
+    ``rewrite(q, t, p, v)``.  Atom i of ``text[1:-1:2]`` is step 1 + 2i and
+    the final block's atoms U^p D^v follow their last DU ("" for the path
+    UD, read as (0, 0)), so the head's text is kept as it is.  ``tails``,
+    which the caller owns, maps each final block's atoms to its new text."""
+    atoms = text[1:-1:2]
+    start = atoms.rfind("DU") + 1
+    final = atoms[start:]
+    tail = tails.get(final)
+    if tail is None:
+        peaks = final.count("U")
+        tail = tails[final] = _render_blocks((rewrite(q, t, peaks, len(final) - peaks),))[1:]
+    return text[: 1 + 2 * start] + tail
+
+
+def _apply(q: RationalParam, t: int, text: str, tails: dict[str, str]) -> str:
     """``_phi_text``, with the image checked to be a restricted member."""
-    image = _phi_text(q, t, text)
+    image = _phi_text(q, t, text, tails)
     blocks = _scan_blocks(image)
     if blocks is None or not _accepts(q, PathClass.RESTRICTED, blocks):
         raise RuntimeError(f"image fell outside the restricted family: {image!r}")

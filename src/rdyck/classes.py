@@ -52,6 +52,7 @@ from rdyck.core import (
     _index,
     _low_paths,
     _part_sizes,
+    _path,
     _scan_blocks,
 )
 
@@ -82,7 +83,7 @@ class PathClass(Enum):
 def member(q: RationalParam, path_class: PathClass, path: DyckPath) -> bool:
     """Test membership of ``path`` in the chosen family for the parameter ``q``."""
     _family(path_class)
-    blocks = _scan_blocks(path.steps)
+    blocks = _scan_blocks(_path(path, "path"))
     return blocks is not None and _accepts(q, path_class, blocks)
 
 

@@ -13,14 +13,15 @@ lead-in U(UD)^p(DU)^(ceil(ps/r)-1)D, and a final UD arch closes the path.
 Each map has a private core on step texts and part tuples: ``_comp_text``
 joins the parts' pieces, each written by the one formula ``_piece``, and
 ``_text_parts`` reads the parts off the blocks, each block's demand from
-``core.min_valleys``.  ``_comp_text`` takes a dict of pieces that the caller
-owns, so a caller that maps a whole family writes each piece once, and
-nothing outlives the call.  ``comp_to_path`` and ``path_to_comp`` are thin
-wrappers that check their input and call the cores; ``rdyck verify`` calls
-the cores on the oracle's texts of each family, so its check covers the
-code behind the public maps.  The pieces never come from the generator's
-own lead-ins (``classes._member_walk``), and the texts come from the
-oracle's search, so the check compares independent routes.
+``core.min_valleys``.  Each takes a table that the caller owns, of pieces by
+part or of parts by block, so a caller that maps a whole family writes each
+piece and reads each distinct block once, and nothing outlives the call.
+``comp_to_path`` and ``path_to_comp`` are thin wrappers that check their
+input and call the cores; ``rdyck verify`` calls the cores on the oracle's
+texts of each family, so its check covers the code behind the public maps.
+The pieces never come from the generator's own lead-ins
+(``classes._member_walk``), and the texts come from the oracle's search, so
+the check compares independent routes.
 
 One walk, ``_descending_compositions``, enumerates the compositions of n,
 largest part first, on an explicit stack.  Its docstring proves that
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from rdyck.core import DyckPath, RationalParam, _index, _parse_int, _part_sizes, _scan_blocks
+from rdyck.core import _SWAP_STEPS, DyckPath, RationalParam, _index, _parse_int, _part_sizes, _path
 from rdyck.core import min_valleys, part_size
 
 __all__ = ["comp_to_path", "enumerate_compositions", "path_to_comp"]
@@ -131,11 +132,12 @@ def path_to_comp(q: RationalParam, path: DyckPath) -> tuple[int, ...]:
     holds v parts 1.  The closing UD arch adds no valley, so it carries no
     part.
     """
-    if not path.steps:
+    steps = _path(path, "path")
+    if not steps:
         raise ValueError("the empty path corresponds to no composition")
-    parts = _text_parts(q, path.steps)
+    parts = _text_parts(q, steps, {})
     if parts is None:
-        raise ValueError(f"path is not a rational-family member for {q}: {path.steps!r}")
+        raise ValueError(f"path is not a rational-family member for {q}: {steps!r}")
     return parts
 
 
@@ -170,32 +172,50 @@ def _comp_text(q: RationalParam, parts: tuple[int, ...], pieces: dict[int, str])
     """The step text of ``comp_to_path``'s image, with no check of the parts'
     types.  ``pieces`` maps each part met so far to its ``_piece``; the
     caller owns it, so one table serves a whole pass and outlives none."""
-    for part in parts:
-        if part not in pieces:
+    while True:
+        try:
+            return "".join([pieces[part] for part in parts]) + "UD"
+        except KeyError as missing:
+            (part,) = missing.args
             pieces[part] = _piece(q, part)
-    return "".join([pieces[part] for part in parts]) + "UD"
 
 
-def _text_parts(q: RationalParam, text: str) -> tuple[int, ...] | None:
+def _text_parts(q: RationalParam, text: str, blocks: dict[str, tuple[int, ...] | None]) -> tuple[int, ...] | None:
     """The composition whose image is ``text``, or None when ``text`` is not
     a rational-family member.
 
-    A block of p >= 1 peaks meets its demand when v >= ceil(ps/r), the
-    test ``classes._accepts`` makes for the rational family as v*r >= p*s.
+    The height test and the blocks, each maximal U*D* run of the atoms, are
+    ``core._scan_blocks``'s.  ``blocks`` maps each block's atoms met so far
+    to its parts, or to None when it is short of its demand.  A block of
+    p >= 1 peaks meets its demand when v >= ceil(ps/r), the test
+    ``classes._accepts`` makes for the rational family as v*r >= p*s.
     """
-    blocks = _scan_blocks(text)
-    if blocks is None:
+    atoms = text[1:-1:2]
+    if text[2:-1:2] != atoms.translate(_SWAP_STEPS):
         return None
     parts: list[int] = []
-    for peaks, valleys in blocks:
-        if peaks:
-            demand = min_valleys(q, peaks)
-            if valleys < demand:
-                return None
-            parts.append(peaks + demand)
-            valleys -= demand
-        parts.extend([1] * valleys)
+    # a U after a D starts a new block
+    for block in atoms.replace("DU", "D U").split():
+        try:
+            found = blocks[block]
+        except KeyError:
+            found = blocks[block] = _block_parts(q, block)
+        if found is None:
+            return None
+        parts += found
     return tuple(parts)
+
+
+def _block_parts(q: RationalParam, block: str) -> tuple[int, ...] | None:
+    # the parts of the block U^p D^v: p + ceil(ps/r), then the rest in 1s
+    peaks = block.count("U")
+    valleys = len(block) - peaks
+    if not peaks:
+        return (1,) * valleys
+    demand = min_valleys(q, peaks)
+    if valleys < demand:
+        return None
+    return (peaks + demand,) + (1,) * (valleys - demand)
 
 
 def _peaks_for(q: RationalParam, size: int) -> int:

@@ -191,6 +191,15 @@ def _index(n: object, name: str) -> int:
     return n
 
 
+def _path(path: object, name: str) -> str:
+    """The steps of ``path`` when it is a ``DyckPath``; anything else, a
+    step string too, raises the one ValueError of every entry point that
+    takes a path, which names the argument ``name``."""
+    if not isinstance(path, DyckPath):
+        raise ValueError(f"{name} must be a DyckPath, got {path!r}")
+    return path.steps
+
+
 class RationalParam(_Frozen):
     """A positive rational r/s in lowest terms; the parameter of every family here.
 
@@ -231,7 +240,7 @@ class RationalParam(_Frozen):
 
 def semilength(path: DyckPath) -> int:
     """Half the number of steps."""
-    return len(path.steps) // 2
+    return len(_path(path, "path")) // 2
 
 
 def factorize(path: DyckPath) -> tuple[tuple[int, int], ...]:
@@ -240,11 +249,12 @@ def factorize(path: DyckPath) -> tuple[tuple[int, int], ...]:
     One scan of the step text (``_scan_blocks``) both checks the height and
     reads off the runs.  The path UD has no blocks at all.
     """
-    if not path.steps:
+    steps = _path(path, "path")
+    if not steps:
         raise ValueError("the empty path has no block factorization")
-    blocks = _scan_blocks(path.steps)
+    blocks = _scan_blocks(steps)
     if blocks is None:
-        raise ValueError(f"block factorization needs height <= 2: {path.steps!r}")
+        raise ValueError(f"block factorization needs height <= 2: {steps!r}")
     return blocks
 
 

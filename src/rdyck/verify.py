@@ -75,14 +75,14 @@ def first_faults(q: RationalParam, nmax: int) -> dict[str, str]:
             for path_class in PathClass
         }
         if n:
-            composition = partial(_composition_fault, q, {}, n - 1)
+            composition = partial(_composition_fault, q, {}, {}, n - 1)
             for name, (finite, path_class) in part_sets.items():
                 checks[name] = (path_class, partial(_descending_compositions, q, finite, n - 1), composition)
         if bijective and n > t:
             checks["bijection"] = (
                 PathClass.RESTRICTED,
                 partial(family, PathClass.QUASI, n - t - 1),
-                partial(_bijection_fault, q, t, n - t - 1),
+                partial(_bijection_fault, q, t, {}, {}, n - t - 1),
             )
         streams = {name: make() for name, (_, make, _) in checks.items() if not faults[name]}
         witnesses: set[str] = set()
@@ -110,12 +110,12 @@ def first_faults(q: RationalParam, nmax: int) -> dict[str, str]:
     if nmax == 0:
         # the one composition of 0 is checked all the same, onto semilength 1
         for name, (_, path_class) in part_sets.items():
-            faults[name] = _composition_fault(q, {}, 0, [()], list(_member_texts(q, path_class, 1)))
+            faults[name] = _composition_fault(q, {}, {}, 0, [()], list(_member_texts(q, path_class, 1)))
     if bijective and nmax <= t:
         # n = 0 is checked all the same, onto images past nmax
         domain = list(family(PathClass.QUASI, 0))
         codomain = list(_member_texts(q, PathClass.RESTRICTED, t + 1))
-        faults["bijection"] = _bijection_fault(q, t, 0, domain, codomain)
+        faults["bijection"] = _bijection_fault(q, t, {}, {}, 0, domain, codomain)
 
     for path_class in PathClass:
         enum = tuple(sizes[path_class])
@@ -164,7 +164,12 @@ def _generation_fault(n: int, built: list[str], checked: list[str]) -> str:
 
 
 def _composition_fault(
-    q: RationalParam, pieces: dict[int, str], n: int, comps: list[tuple[int, ...]], texts: list[str]
+    q: RationalParam,
+    pieces: dict[int, str],
+    blocks: dict[str, tuple[int, ...] | None],
+    n: int,
+    comps: list[tuple[int, ...]],
+    texts: list[str],
 ) -> str:
     """The first fault of the composition maps between ``comps``, the
     compositions of ``n`` largest part first, and ``texts``, the family of
@@ -172,43 +177,53 @@ def _composition_fault(
     ``comp_to_path`` pairs by position; "" when there is none.  Each image
     in place and mapped back proves both maps bijective and each the other's
     inverse.  The maps run through their cores, with ``pieces`` as
-    ``_comp_text``'s table; a faulty composition is named in ``map``'s text
-    format.  Whole lists are compared first, and only on a mismatch is the
-    witness sought, from the end: the first fault in lexicographic order is
-    the last in this one.  Both arguments are lists on every call, since a
-    list never equals a tuple: with a tuple, the comparison would fail where
-    every pair agrees, the search would meet no witness, and a check whose
-    chunk had failed would print ``ok``."""
+    ``_comp_text``'s table and ``blocks`` as ``_text_parts``'s; a faulty
+    composition is named in ``map``'s text format.  Whole lists are compared
+    first, and only on a mismatch is the witness sought, from the end: the
+    first fault in lexicographic order is the last in this one.  Both
+    arguments are lists on every call, since a list never equals a tuple:
+    with a tuple, the comparison would fail where every pair agrees, the
+    search would meet no witness, and a check whose chunk had failed would
+    print ``ok``."""
     if len(comps) != len(texts):
         return f"n={n} compositions={len(comps)} paths={len(texts)}"
     images = [_comp_text(q, comp, pieces) for comp in comps]
-    if images == texts and [_text_parts(q, text) for text in texts] == comps:
+    if images == texts and [_text_parts(q, text, blocks) for text in texts] == comps:
         return ""
     for comp, image, text in zip(reversed(comps), reversed(images), reversed(texts)):
         if image != text:
             return f"n={n} composition={_composition_text(comp)}"
-        if _text_parts(q, text) != comp:
+        if _text_parts(q, text, blocks) != comp:
             return f"n={n} path={text}"
     return ""
 
 
-def _bijection_fault(q: RationalParam, t: int, n: int, domain: list[str], codomain: list[str]) -> str:
+def _bijection_fault(
+    q: RationalParam,
+    t: int,
+    tails: dict[str, str],
+    inverse_tails: dict[str, str],
+    n: int,
+    domain: list[str],
+    codomain: list[str],
+) -> str:
     """The first fault of the quasi->restricted map from semilength ``n``, where
     ``domain`` and ``codomain`` are the oracle's texts of the quasi family at
     n and the restricted family at n + t + 1, or equal-length slices of
     both; "" when there is none.  ``phi`` keeps U<D order (see
     :mod:`rdyck.bijection`), so they pair by position, through the cores of
-    ``phi`` and ``phi_inv``: an image is mapped back only once it equals its
+    ``phi`` and ``phi_inv``, with ``tails`` and ``inverse_tails`` as
+    their tables: an image is mapped back only once it equals its
     restricted member.  The pass compares whole lists, and only on a
     mismatch looks for the first fault; both arguments are lists, for the
     reason :func:`_composition_fault` gives."""
     if len(domain) != len(codomain):
         return f"n={n} domain={len(domain)} codomain={len(codomain)}"
-    images = [_phi_text(q, t, text) for text in domain]
-    if images == codomain and [_phi_inv_text(q, t, image) for image in images] == domain:
+    images = [_phi_text(q, t, text, tails) for text in domain]
+    if images == codomain and [_phi_inv_text(q, t, image, inverse_tails) for image in images] == domain:
         return ""
     for text, image, expected in zip(domain, images, codomain):
-        if image != expected or _phi_inv_text(q, t, image) != text:
+        if image != expected or _phi_inv_text(q, t, image, inverse_tails) != text:
             return f"n={n} path={text}"
     return ""
 

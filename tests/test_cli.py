@@ -103,10 +103,10 @@ def swapping_core(name):
     real = getattr(rdyck.compositions, name)
     swap = {(1, 4): (4, 1), (4, 1): (1, 4)}
 
-    def faulty(q, value, *pieces):
+    def faulty(q, value, table):
         if name == "_comp_text":
-            return real(q, swap.get(value, value), *pieces)
-        comp = real(q, value)
+            return real(q, swap.get(value, value), table)
+        comp = real(q, value, table)
         return swap.get(comp, comp)
 
     return faulty
@@ -962,8 +962,8 @@ class TestVerify:
         real = rdyck.bijection._phi_inv_text
         wrong = "UD" * 7
 
-        def faulty(q, t, text):
-            return wrong if text == "UUDUDDUDUDUDUD" else real(q, t, text)
+        def faulty(q, t, text, tails):
+            return wrong if text == "UUDUDDUDUDUDUD" else real(q, t, text, tails)
 
         assert rdyck.cli.phi(RationalParam(3, 4), DyckPath("UUDUDUDDUD")).steps == "UUDUDDUDUDUDUD"
         patch_core(monkeypatch, rdyck.bijection, "_phi_inv_text", faulty)
@@ -1042,8 +1042,8 @@ class TestVerify:
         # family, so the public wrapper's own checks let the wrong text out
         real = getattr(rdyck.bijection, name)
 
-        def faulty(q, t, text):
-            return "UD" * 7 if text == value else real(q, t, text)
+        def faulty(q, t, text, tails):
+            return "UD" * 7 if text == value else real(q, t, text, tails)
 
         argv = (command, "--q", "3/4", value)
         assert invoke(capsys, *argv) == (0, f"{right}\n", "")

@@ -18,9 +18,14 @@ from rdyck import (
     count_enumeration,
     count_recurrence,
     enumerate_compositions,
+    factorize,
     generate,
     member,
+    path_to_comp,
+    phi,
+    phi_inv,
     rational_gf,
+    semilength,
     series_coeffs,
 )
 from rdyck.classes import _member_texts
@@ -95,6 +100,17 @@ SEMILENGTH_ROUTES = {
     "_recurrence_texts": ("order", lambda n: list(_recurrence_texts(Q, PathClass.QUASI, n))),
 }
 
+# every public entry point that takes a path; Q = 3/4 has a valley slope, so
+# phi and phi_inv reach their path argument
+PATH_ROUTES = {
+    "member": lambda path: member(Q, PathClass.QUASI, path),
+    "path_to_comp": lambda path: path_to_comp(Q, path),
+    "phi": lambda path: phi(Q, path),
+    "phi_inv": lambda path: phi_inv(Q, path),
+    "factorize": factorize,
+    "semilength": semilength,
+}
+
 
 class TestArguments:
     @pytest.mark.parametrize("value", [-1, True, 2.0, 2.5, "3", None], ids=repr)
@@ -146,6 +162,14 @@ class TestArguments:
             check_sum_identity(Q, True)
         with pytest.raises(ValueError, match="^order must be >= 1, got 0$"):
             check_sum_identity(Q, 0)
+
+    @pytest.mark.parametrize("value", ["UUDD", "UD", "", None, ("U", "D")], ids=repr)
+    @pytest.mark.parametrize("route", sorted(PATH_ROUTES))
+    def test_one_path_rule(self, route, value):
+        # a step string is refused, not read as a path, even a valid one
+        with pytest.raises(ValueError) as error:
+            PATH_ROUTES[route](value)
+        assert str(error.value) == f"path must be a DyckPath, got {value!r}"
 
     @pytest.mark.parametrize("family", ["quasi", "QUASI", None, 2], ids=repr)
     @pytest.mark.parametrize(

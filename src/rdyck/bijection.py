@@ -56,6 +56,7 @@ from rdyck.core import (
     DyckPath,
     RationalParam,
     _Frozen,
+    _param,
     _render_blocks,
     _scan_blocks,
     min_valleys,
@@ -133,6 +134,7 @@ def check_bijection(q: RationalParam, n: int) -> PhiReport:
     Both families are read as step texts; only the colliding pairs become
     path objects.  A bad ``n`` raises at the first ``_member_texts``.
     """
+    _param(q, "q")
     t = (q.s - 1) // q.r
     domain = _member_texts(q, PathClass.QUASI, n)
     codomain = _member_texts(q, PathClass.RESTRICTED, n + t + 1)

@@ -51,6 +51,7 @@ from rdyck.core import (
     RationalParam,
     _index,
     _low_paths,
+    _param,
     _part_sizes,
     _path,
     _scan_blocks,
@@ -82,6 +83,7 @@ class PathClass(Enum):
 
 def member(q: RationalParam, path_class: PathClass, path: DyckPath) -> bool:
     """Test membership of ``path`` in the chosen family for the parameter ``q``."""
+    _param(q, "q")
     _family(path_class)
     blocks = _scan_blocks(_path(path, "path"))
     return blocks is not None and _accepts(q, path_class, blocks)
@@ -128,7 +130,7 @@ def generate(q: RationalParam, path_class: PathClass, n: int) -> tuple[DyckPath,
     The recursion yields them in this order, so nothing is sorted or cached;
     callers that need only the step text read ``_member_texts``.
     """
-    return tuple(map(DyckPath, _member_texts(q, _family(path_class), n)))
+    return tuple(map(DyckPath, _member_texts(_param(q, "q"), _family(path_class), n)))
 
 
 def _member_texts(q: RationalParam, path_class: PathClass, n: int) -> tuple[str, ...]:

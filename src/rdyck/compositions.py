@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from rdyck.core import _SWAP_STEPS, DyckPath, RationalParam, _index, _parse_int, _part_sizes, _path
+from rdyck.core import _SWAP_STEPS, DyckPath, RationalParam, _index, _param, _parse_int, _part_sizes, _path
 from rdyck.core import min_valleys, part_size
 
 __all__ = ["comp_to_path", "enumerate_compositions", "path_to_comp"]
@@ -48,7 +48,7 @@ def enumerate_compositions(q: RationalParam, finite: bool, n: int) -> tuple[tupl
     """Every composition of ``n`` over the full part set, or the capped one
     when ``finite``, in lexicographic part order: the walk
     ``_descending_compositions`` reversed."""
-    return tuple(reversed(tuple(_descending_compositions(q, finite, _index(n, "n")))))
+    return tuple(reversed(tuple(_descending_compositions(_param(q, "q"), finite, _index(n, "n")))))
 
 
 def _descending_compositions(q: RationalParam, finite: bool, n: int) -> Iterator[tuple[int, ...]]:
@@ -116,6 +116,7 @@ def comp_to_path(q: RationalParam, parts: tuple[int, ...]) -> DyckPath:
     image is a restricted-family member.  Every part is checked to be a
     positive integer before any is checked to be a part size.
     """
+    _param(q, "q")
     for part in parts:
         # bool is an int subclass, but True+2 is no composition
         if type(part) is not int or part < 1:
@@ -132,6 +133,7 @@ def path_to_comp(q: RationalParam, path: DyckPath) -> tuple[int, ...]:
     holds v parts 1.  The closing UD arch adds no valley, so it carries no
     part.
     """
+    _param(q, "q")
     steps = _path(path, "path")
     if not steps:
         raise ValueError("the empty path corresponds to no composition")

@@ -54,6 +54,10 @@ __all__ = [
 ]
 
 _SWAP_STEPS = str.maketrans("UD", "DU")
+# U and D swapped, and every other ASCII character sent to U+0080, which is
+# not ASCII: a table for str.translate, read by code point, that leaves a
+# character past it as it is
+_STRICT_SWAP = "".join({"U": "D", "D": "U"}.get(chr(code), "\x80") for code in range(128))
 _BLOCK = re.compile("(U*)(D*)")
 
 
@@ -134,11 +138,11 @@ def _low_paths(joined: str, count: int) -> bool:
     """Whether ``joined``, ``count`` >= 1 step texts joined by newlines, holds
     only Dyck paths of height <= 2, all of one even length.
 
-    The test takes a fixed number of slice, ``replace``, ``translate`` and
-    ``count`` calls, however many steps the texts hold.  If the texts have
-    one length L, the joined text is count*(L+1) - 1 long, with a newline at
-    every offset L + i*(L+1); the test reads L off the length and checks
-    that these offsets, and no others of that stride below the length, hold
+    The test takes a fixed number of slice, ``replace`` and ``translate``
+    calls, however many steps the texts hold.  If the texts have one length
+    L, the joined text is count*(L+1) - 1 long, with a newline at every
+    offset L + i*(L+1); the test reads L off the length and checks that
+    these offsets, and no others of that stride below the length, hold
     newlines.  With the newlines deleted, text i should span offsets i*L to
     i*L + L - 1.  A text of even length L is a path of height <= 2 exactly
     when it starts with U, ends with D, and each step pair at odd offsets in
@@ -147,22 +151,29 @@ def _low_paths(joined: str, count: int) -> bool:
     pair of one text's last step and the next text's first, which must then
     be DU.  So the test checks a D at every offset i*L + L - 1 (which also
     fails when a stray newline shortened the whole) and every pair at odd
-    offsets of the whole at once.  The pair test also passes two equal
-    characters other than U and D.  Counting the U rules those out, and a
-    first step other than U: each text must have one U per pair and one
-    more.  A False says only that some text fails or the lengths differ:
-    each text may still be a valid path, of height above two or of another
-    length.
+    offsets of the whole at once, through ``_STRICT_SWAP``: the second step
+    must be the first with U and D swapped, and any other ASCII first step
+    is read as U+0080.  The whole is ASCII (a flag that ``isascii`` reads
+    without a pass), so every first step is in the table and no second step
+    is U+0080: both steps of every pair are U or D.  Text 0 must start with
+    U.  Each later text starts with the second step of a pair whose first is
+    the previous text's last step, a D, so with U.  So a True also says that
+    the texts hold only U and D.  A False says only that some text fails or
+    the lengths differ: each text may still be a valid path, of height above
+    two or of another length.
     """
     width = (len(joined) + 1) // count
     length = width - 1
     if length % 2 or joined[length::width] != "\n" * (count - 1):
         return False
+    if not length:
+        return True
     steps = joined.replace("\n", "")
-    return not length or (
-        steps[length - 1 :: length] == "D" * count
-        and steps[2:-1:2] == steps[1:-1:2].translate(_SWAP_STEPS)
-        and steps.count("U") * 2 == len(steps)
+    return (
+        joined.isascii()
+        and joined[0] == "U"
+        and steps[length - 1 :: length] == "D" * count
+        and steps[2:-1:2] == steps[1:-1:2].translate(_STRICT_SWAP)
     )
 
 
@@ -189,6 +200,15 @@ def _index(n: object, name: str) -> int:
         shown = f"a negative int of {n.bit_length()} bits" if huge else repr(n)
         raise ValueError(f"{name} must be a non-negative integer, got {shown}")
     return n
+
+
+def _param(q: object, name: str) -> RationalParam:
+    """``q`` when it is a ``RationalParam``; anything else, 'R/S' text or a
+    pair too, raises the one ValueError of every entry point that takes a
+    parameter, which names the argument ``name``."""
+    if not isinstance(q, RationalParam):
+        raise ValueError(f"{name} must be a RationalParam, got {q!r}")
+    return q
 
 
 def _path(path: object, name: str) -> str:
@@ -312,6 +332,7 @@ def min_valleys(q: RationalParam, peaks: int) -> int:
 
     Computed in exact integer arithmetic as (peaks*s + r - 1) // r.
     """
+    _param(q, "q")
     if peaks < 1:
         raise ValueError(f"peak count must be >= 1, got {peaks}")
     return (peaks * q.s + q.r - 1) // q.r
@@ -348,6 +369,7 @@ def valley_slope(q: RationalParam) -> int | None:
     1 <= j <= r, which is what makes the semilength-raising map of
     :mod:`rdyck.bijection` invertible.  t = 0 (s = 1) is allowed.
     """
+    _param(q, "q")
     if (q.s - 1) % q.r == 0:
         return (q.s - 1) // q.r
     return None

@@ -52,7 +52,7 @@ from collections.abc import Iterable, Iterator
 from itertools import repeat
 
 from rdyck.classes import PathClass, _family, _member_blocks
-from rdyck.core import RationalParam, _Frozen, _index, _part_sizes, part_size
+from rdyck.core import RationalParam, _Frozen, _index, _param, _part_sizes, part_size
 
 __all__ = [
     "RationalSeries",
@@ -122,6 +122,7 @@ def rational_gf(q: RationalParam) -> RationalSeries:
     part_size(p + r) = part_size(p) + r + s, S = T / (1 - x^(r+s)), and
     multiplying top and bottom by 1 - x^(r+s) gives the form above.
     """
+    _param(q, "q")
     top = q.r + q.s
     return RationalSeries(
         _minus_run_sum(q, [1] + [0] * (top - 1) + [-1]),
@@ -131,6 +132,7 @@ def rational_gf(q: RationalParam) -> RationalSeries:
 
 def restricted_gf(q: RationalParam) -> RationalSeries:
     """(1 - T) / (1 - x - T) with T = sum_{p=1}^{r} x^(p + ceil(ps/r))."""
+    _param(q, "q")
     return RationalSeries(_minus_run_sum(q, [1]), _minus_run_sum(q, [1, -1]))
 
 
@@ -139,6 +141,7 @@ def quasi_gf(q: RationalParam) -> RationalSeries:
 
     The x^j sum is the single-arch family noted in the module docstring.
     """
+    _param(q, "q")
     num = _minus_run_sum(q, [1, 0] + [1] * (q.r + q.s - 1))
     return RationalSeries(num, _minus_run_sum(q, [1, -1]))
 
@@ -151,6 +154,7 @@ def compositions_gf(q: RationalParam) -> RationalSeries:
     coefficient n+1 there (dropping restricted_gf's constant term leaves
     x / (1 - x - T)).
     """
+    _param(q, "q")
     return RationalSeries((1,), _minus_run_sum(q, [1, -1]))
 
 
@@ -295,6 +299,7 @@ def _recurrence(q: RationalParam, path_class: PathClass, order: int, one: int) -
     exact: ``one`` is the int 1, or the exact decimal 1 of
     :func:`_recurrence_texts`, and the counts are of its type.
     """
+    _param(q, "q")
     _index(order, "order")
     rational = _family(path_class) is PathClass.RATIONAL
     period = q.r + q.s
@@ -358,6 +363,7 @@ def count_enumeration(q: RationalParam, path_class: PathClass, order: int) -> tu
     Each member is built and validated, a block of step text at a time, then
     counted and dropped, so no set is held in memory.
     """
+    _param(q, "q")
     _index(order, "order")
     _family(path_class)
     return tuple(sum(count for _, count in _member_blocks(q, path_class, n)) for n in range(order + 1))
@@ -371,6 +377,7 @@ def check_sum_identity(q: RationalParam, order: int) -> bool:
     The left side enumerates its exponents directly; the right side goes
     through the series expander, so the two routes are independent.
     """
+    _param(q, "q")
     _index(order, "order")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")

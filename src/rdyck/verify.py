@@ -23,13 +23,14 @@ from rdyck import classes
 from rdyck.bijection import _phi_inv_text, _phi_text, collision_pair
 from rdyck.classes import PathClass, _block_texts, _member_blocks, _member_texts
 from rdyck.compositions import _comp_text, _composition_text, _descending_compositions, _text_parts
-from rdyck.core import RationalParam, _index, semilength, valley_slope
+from rdyck.core import RationalParam, _index, _param, semilength, valley_slope
 from rdyck.counting import check_sum_identity, class_gf, count_recurrence, series_coeffs
 
 
 def first_faults(q: RationalParam, nmax: int) -> dict[str, str]:
     """Every check's first fault up to semilength ``nmax``, "" while the
     check holds, keyed by check name in the order ``verify`` prints them."""
+    _param(q, "q")
     t = (q.s - 1) // q.r
     bijective = valley_slope(q) is not None
     part_sets = {
@@ -234,7 +235,7 @@ def oracle_generate(q: RationalParam, n: int) -> dict[PathClass, tuple[str, ...]
     collected into one tuple per family; a bad ``n`` raises ``generate``'s
     ``ValueError``."""
     families: dict[PathClass, list[str]] = {path_class: [] for path_class in PathClass}
-    for chunk in _oracle_chunks(q, _index(n, "n")):
+    for chunk in _oracle_chunks(_param(q, "q"), _index(n, "n")):
         for path_class, texts in chunk.items():
             families[path_class].extend(texts)
     return {path_class: tuple(texts) for path_class, texts in families.items()}

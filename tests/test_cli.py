@@ -239,6 +239,17 @@ class TestBlocks:
         monkeypatch.setattr(rdyck.classes, "_BLOCK_SIZE", 2)
         assert invoke(capsys, *argv) == (1, "UDUD\nUUUDDD\n", f"error: {error}\n")
         assert invoke(capsys, *argv, "--format", "json") == (1, '["UDUD", "UUUDDD"', f"error: {error}\n")
+        # one block of equal-length texts that only the ASCII flag, the
+        # strict swap map or text 0's first step reject: the constructor
+        # names the bad text, and nothing of the block is written
+        monkeypatch.setattr(rdyck.classes, "_BLOCK_SIZE", 256)
+        for block, bad in [(["UDUD", "UXXD"], "UXXD"), (["UDUD", "UééD"], "UééD"), (["XUDD", "UDUD"], "XUDD")]:
+            texts[:] = block
+            with pytest.raises(ValueError) as expected:
+                DyckPath(bad)
+            error = f"error: {expected.value}\n"
+            assert invoke(capsys, *argv) == (1, "", error), block
+            assert invoke(capsys, *argv, "--format", "json") == (1, "[", error), block
 
     def test_memory_is_bounded(self, monkeypatch):
         sink = Discard()

@@ -1,3 +1,4 @@
+import inspect
 import re
 import shlex
 import sys
@@ -112,6 +113,35 @@ PATH_ROUTES = {
 }
 
 
+# every public function that takes a parameter, with valid other arguments,
+# and the routes of the CLI and of rdyck.verify that do not pass through one
+PARAM_ROUTES = {
+    "min_valleys": lambda q: rdyck.min_valleys(q, 1),
+    "part_size": lambda q: rdyck.part_size(q, 1),
+    "valley_slope": rdyck.valley_slope,
+    "member": lambda q: member(q, PathClass.QUASI, DyckPath("UD")),
+    "generate": lambda q: generate(q, PathClass.QUASI, 3),
+    "rational_gf": rational_gf,
+    "restricted_gf": rdyck.restricted_gf,
+    "quasi_gf": rdyck.quasi_gf,
+    "compositions_gf": rdyck.compositions_gf,
+    "class_gf": lambda q: class_gf(q, PathClass.QUASI),
+    "count_recurrence": lambda q: count_recurrence(q, PathClass.QUASI, 3),
+    "count_enumeration": lambda q: count_enumeration(q, PathClass.QUASI, 3),
+    "check_sum_identity": lambda q: check_sum_identity(q, 3),
+    "enumerate_compositions": lambda q: enumerate_compositions(q, False, 3),
+    "comp_to_path": lambda q: rdyck.comp_to_path(q, (1,)),
+    "path_to_comp": lambda q: path_to_comp(q, DyckPath("UD")),
+    "phi": lambda q: phi(q, DyckPath("UD")),
+    "phi_inv": lambda q: phi_inv(q, DyckPath("UDUDUD")),
+    "check_bijection": lambda q: check_bijection(q, 3),
+    "collision_pair": rdyck.collision_pair,
+    "_recurrence_texts": lambda q: list(_recurrence_texts(q, PathClass.QUASI, 3)),
+    "oracle_generate": lambda q: rdyck.verify.oracle_generate(q, 3),
+    "first_faults": lambda q: rdyck.verify.first_faults(q, 3),
+}
+
+
 class TestArguments:
     @pytest.mark.parametrize("value", [-1, True, 2.0, 2.5, "3", None], ids=repr)
     @pytest.mark.parametrize("route", sorted(SEMILENGTH_ROUTES))
@@ -170,6 +200,22 @@ class TestArguments:
         with pytest.raises(ValueError) as error:
             PATH_ROUTES[route](value)
         assert str(error.value) == f"path must be a DyckPath, got {value!r}"
+
+    def test_every_function_taking_a_parameter_is_a_route(self):
+        takers = {
+            name
+            for name in rdyck.__all__
+            if inspect.isfunction(getattr(rdyck, name)) and "q" in inspect.signature(getattr(rdyck, name)).parameters
+        }
+        assert takers == set(PARAM_ROUTES) - {"_recurrence_texts", "oracle_generate", "first_faults"}
+
+    @pytest.mark.parametrize("value", ["3/4", (3, 4)], ids=repr)
+    @pytest.mark.parametrize("route", sorted(PARAM_ROUTES))
+    def test_one_parameter_rule(self, route, value):
+        # 'R/S' text and an (r, s) pair are refused, not parsed or coerced
+        with pytest.raises(ValueError) as error:
+            PARAM_ROUTES[route](value)
+        assert str(error.value) == f"q must be a RationalParam, got {value!r}"
 
     @pytest.mark.parametrize("family", ["quasi", "QUASI", None, 2], ids=repr)
     @pytest.mark.parametrize(

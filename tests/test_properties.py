@@ -26,7 +26,7 @@ from rdyck import (
 )
 from rdyck.classes import _member_walk
 from rdyck.compositions import _composition_text, _parse_composition
-from rdyck.core import _low_paths
+from rdyck.core import _SWAP_STEPS, _low_paths
 from rdyck.counting import _series_texts
 from rdyck.verify import oracle_generate
 
@@ -178,13 +178,19 @@ def low_texts(draw, n):
     return "U" + "".join(draw(st.lists(st.sampled_from(["UD", "DU"]), min_size=n - 1, max_size=n - 1))) + "D"
 
 
+# characters that are no step: a newline, ASCII and non-ASCII letters, the
+# character _low_paths reads any of them as (U+0080), and NUL
+JUNK = ["\n", "X", "é", "\x80", "\x00"]
+
+
 @st.composite
 def spoilt_texts(draw, n):
     """A path of height <= 2 with a piece written over it: two equal
-    characters, which pass a pair test alone, or one step or newline."""
+    characters, which pass a pair test alone, or one step or other
+    character."""
     text = draw(low_texts(n))
     at = draw(st.integers(min_value=0, max_value=len(text)))
-    piece = draw(st.sampled_from(["XX", "\n\n", "U", "D", "X", "\n", ""]))
+    piece = draw(st.sampled_from([*(ch * 2 for ch in JUNK), "U", "D", *JUNK, ""]))
     return text[:at] + piece + text[at + len(piece) :]
 
 
@@ -195,7 +201,7 @@ def step_blocks(draw):
     and embedded newlines."""
     n = draw(st.integers(min_value=0, max_value=6))
     low = low_texts(n)
-    junk = st.text(alphabet="UD\nX", max_size=2 * n + 3)
+    junk = st.text(alphabet=["U", "D", *JUNK], max_size=2 * n + 3)
     spoilt = spoilt_texts(n)
     text = st.one_of(low, low, dyck_texts(n), junk, spoilt)
     if draw(st.booleans()):
@@ -211,17 +217,58 @@ def step_blocks(draw):
     return [whole[a:b] for a, b in zip([0] + cuts, cuts + [len(whole)])]
 
 
+def reference_low_paths(joined, count):
+    """The block test with a U count where ``_low_paths`` has the strict
+    swap map, the ASCII flag and text 0's first step: the reference whose
+    verdict it must match."""
+    width = (len(joined) + 1) // count
+    length = width - 1
+    if length % 2 or joined[length::width] != "\n" * (count - 1):
+        return False
+    steps = joined.replace("\n", "")
+    return not length or (
+        steps[length - 1 :: length] == "D" * count
+        and steps[2:-1:2] == steps[1:-1:2].translate(_SWAP_STEPS)
+        and steps.count("U") * 2 == len(steps)
+    )
+
+
 @settings(max_examples=400, deadline=None)
 @given(step_blocks())
 @example(["UUD", "UDD"])
 @example(["UDU", "D"])
 @example(["UXXD"])
+@example(["U\x80\x80D"])
+@example(["UééD"])
+@example(["XUDD"])
+@example(["UD", "XD"])
 def test_block_test_against_the_level_walk(texts):
-    verdict = _low_paths("\n".join(texts), len(texts))
+    joined = "\n".join(texts)
+    verdict = _low_paths(joined, len(texts))
+    assert verdict == reference_low_paths(joined, len(texts))
     if verdict:
         assert all(is_low_path(text) for text in texts)
     if all(is_low_path(text) for text in texts) and len({len(text) for text in texts}) == 1:
         assert verdict
+
+
+def test_block_test_agrees_on_every_one_character_fault():
+    # every block of the three families at 3/4 and 1/1 for n <= 6, each
+    # character written over with a step or junk, or deleted, read with its
+    # count and one more or one less
+    tried = 0
+    for q in (RationalParam(3, 4), RationalParam(1, 1)):
+        for path_class in PathClass:
+            for n in range(7):
+                for joined, count in _member_walk(q, path_class, n):
+                    for at in range(len(joined)):
+                        faults = [joined[:at] + joined[at + 1 :]]
+                        faults += [joined[:at] + ch + joined[at + 1 :] for ch in ["U", "D", *JUNK] if ch != joined[at]]
+                        for fault in faults:
+                            for k in range(max(count - 1, 1), count + 2):
+                                assert _low_paths(fault, k) == reference_low_paths(fault, k), (fault, k)
+                                tried += 1
+    assert tried > 10_000
 
 
 @settings(max_examples=40, deadline=None)

@@ -38,7 +38,6 @@ of importing ``rdyck.cli``.
 from __future__ import annotations
 
 import math
-import re
 from operator import attrgetter
 
 __all__ = [
@@ -58,7 +57,6 @@ _SWAP_STEPS = str.maketrans("UD", "DU")
 # not ASCII: a table for str.translate, read by code point, that leaves a
 # character past it as it is
 _STRICT_SWAP = "".join({"U": "D", "D": "U"}.get(chr(code), "\x80") for code in range(128))
-_BLOCK = re.compile("(U*)(D*)")
 
 
 class _Frozen:
@@ -286,14 +284,15 @@ def _scan_blocks(steps: str) -> tuple[tuple[int, int], ...] | None:
     exactly when every interior step pair at odd offsets is UD (a peak) or DU
     (a valley), i.e. when the second steps of those pairs are the first steps
     swapped.  No separate height pass is needed.  The first steps then spell
-    the atoms, and each maximal U*D* stretch of them is one block.  The empty
-    text gives no blocks, like UD.
+    the atoms, and each maximal U*D* stretch of them is one block: a U after
+    a D starts a new one, as in ``compositions._text_parts``.  The empty text
+    gives no blocks, like UD.
     """
     atoms = steps[1:-1:2]
     if steps[2:-1:2] != atoms.translate(_SWAP_STEPS):
         return None
-    runs = _BLOCK.findall(atoms)
-    return tuple((len(peaks), len(valleys)) for peaks, valleys in runs if peaks or valleys)
+    blocks = atoms.replace("DU", "D U").split()
+    return tuple((peaks := block.count("U"), len(block) - peaks) for block in blocks)
 
 
 def defactorize(blocks: tuple[tuple[int, int], ...]) -> DyckPath:

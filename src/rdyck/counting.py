@@ -30,25 +30,20 @@ table of counts is a tuple indexed by semilength.
 
 Printing a series or a count table is a separate concern.  CPython turns an
 int into decimal text in time quadratic in its digits, and the rational
-counts at semilength 17,000 have over 4,000 digits.  So the CLI prints them
-from exact decimals: series coefficients through :func:`_series_texts`, which
-runs the same recurrence as :func:`series_coeffs` on ``decimal.Decimal``
-values, and recurrence counts through :func:`_recurrence_texts`, which runs
-the very body of :func:`count_recurrence` with the decimal 1 in place of the
-int 1.  Each yields one value's text at a time, in time linear in its length,
-and keeps only the last few rows or a window of fewer than 2(r + s) counts,
-so no table is held.  Both work in the context of :func:`_exact_context`,
-where every value is an exact integer and a result that would be rounded
-raises: the arithmetic is still on integers only, held in base 10^19 rather
-than base 2^30.  These are output paths, not further counting routes: the
-cross-checks compare the three routes on ints, and the tests compare each
-text route with the ints of the function it mirrors.
+counts at semilength 17,000 have over 4,000 digits.  So each route the CLI
+prints has one body that runs on ints or on exact decimals, as its ``one``
+is: :func:`_series` behind :func:`series_coeffs` and :func:`_recurrence`
+behind :func:`count_recurrence`.  One driver, :func:`_decimal_texts`, runs
+either on decimals in the context of :func:`_exact_context` and yields each
+value's text in time linear in its length; each body keeps a bounded window
+of rows, so no table is held.  The two bodies share no code, because each is
+the other's cross-check, and the texts are output paths, not further routes.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import repeat
 
 from rdyck.classes import PathClass, _family, _member_blocks
@@ -176,82 +171,49 @@ def class_gf(q: RationalParam, path_class: PathClass) -> RationalSeries:
 def series_coeffs(series: RationalSeries, order: int) -> tuple[int, ...]:
     """Exact power-series coefficients a_0..a_order of numerator/denominator.
 
-    Standard linear-recurrence expansion: a_n = num_n - sum_{j>=1} den_j * a_{n-j}.
-    The coefficients are counts, so a negative one raises ``ValueError``.
+    Standard linear-recurrence expansion: a_n = num_n - sum_{j>=1} den_j * a_{n-j},
+    by :func:`_series` on ints; the CLI prints the same body's values through
+    :func:`_decimal_texts`.  The coefficients are counts, so a negative one
+    raises ``ValueError``.
+    """
+    return tuple(_series(series, order, 1))
+
+
+def _series(series: RationalSeries, order: int, one: int) -> Iterator[int]:
+    """Yield a_0..a_order of :func:`series_coeffs`, of the type of ``one``.
+
+    Each a_n is the linear combination of the last min(deg(den), order + 1)
+    rows over the nonzero denominator terms.  ``one`` is the int 1 or the
+    exact decimal 1 of :func:`_decimal_texts`: the body only adds, subtracts
+    and multiplies integers, so it is exact on either type.  It takes nothing
+    from :func:`_recurrence`, whose counts it cross-checks.
     """
     _index(order, "order")
-    num, den = series.numerator, series.denominator
-    coeffs: list[int] = []
-    for n in range(order + 1):
-        value = num[n] if n < len(num) else 0
-        value -= sum(den[j] * coeffs[n - j] for j in range(1, min(n, len(den) - 1) + 1))
-        if value < 0:
-            raise ValueError("counts must be non-negative")
-        coeffs.append(value)
-    return tuple(coeffs)
-
-
-def _exact_context():
-    """The ``decimal.Context`` in which the CLI's decimals are exact integers.
-
-    It has the largest precision and exponent range and traps ``Inexact``,
-    ``Rounded``, ``Overflow`` and ``InvalidOperation``, so every result of
-    integers is an integer with exponent 0, and one that would be rounded
-    raises instead.  So this is still integer arithmetic, held in base 10^19
-    words by libmpdec, and the text of each value takes time linear in its
-    length and meets no int-to-text digit limit.
-    """
-    # imported here, not at the top: launches that print no decimals skip it
-    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN
-    from decimal import Context, Inexact, InvalidOperation, Overflow, Rounded
-
-    # the rounding is pinned so that no change to decimal.DefaultContext can
-    # give a zero sum the sign bit
-    return Context(
-        prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN,
-        traps=[Inexact, Rounded, Overflow, InvalidOperation],
-    )
-
-
-def _series_texts(series: RationalSeries, order: int) -> Iterator[str]:
-    """The decimal texts of a_0..a_order, as :func:`series_coeffs` would give
-    them through ``str``, computed on exact decimals.
-
-    Each a_n is a ``decimal.Decimal``, taken as the linear combination of the
-    last min(deg(den), order + 1) rows.  Every step goes through the methods
-    of :func:`_exact_context`, so the caller's thread context is neither read
-    nor changed.  A negative coefficient raises the error of
-    :func:`series_coeffs`.
-    """
-    _index(order, "order")
-    exact = _exact_context()
-    add, subtract, fma, text = exact.add, exact.subtract, exact.fma, exact.to_sci_string
-    zero = exact.create_decimal(0)
-    num = [exact.create_decimal(c) for c in series.numerator[: order + 1]]
+    num = [c * one for c in series.numerator[: order + 1]]
     den = series.denominator
     # a_n = num_n + sum of c * a_{n-j} over these (j, c), with c = -den_j;
     # a term with j > order meets only a_{n-j} for n - j < 0, which is 0
     terms = [(j, -c) for j, c in enumerate(den[: order + 1]) if j and c]
-    # c = +-1 is an add or a subtract, a fifth quicker than fma
+    # c = +-1 is an add or a subtract, quicker than a product on decimals
     plus = [j for j, c in terms if c == 1]
     minus = [j for j, c in terms if c == -1]
-    scaled = [(j, exact.create_decimal(c)) for j, c in terms if c not in (1, -1)]
+    scaled = [(j, c * one) for j, c in terms if c not in (1, -1)]
+    zero = 0 * one
     # rows[-j] is a_{n-j}; a_{n-j} for j > n is 0
     window = min(len(den) - 1, order + 1)
     rows = deque(repeat(zero, window), maxlen=window)
     for n in range(order + 1):
         value = num[n] if n < len(num) else zero
         for j in plus:
-            value = add(value, rows[-j])
+            value += rows[-j]
         for j in minus:
-            value = subtract(value, rows[-j])
+            value -= rows[-j]
         for j, c in scaled:
-            value = fma(c, rows[-j], value)
-        # a zero sum of these terms is +0, so the sign bit means below zero
-        if value.is_signed():
+            value += c * rows[-j]
+        if value < 0:
             raise ValueError("counts must be non-negative")
         rows.append(value)
-        yield text(value)
+        yield value
 
 
 def count_recurrence(q: RationalParam, path_class: PathClass, order: int) -> tuple[int, ...]:
@@ -297,7 +259,7 @@ def _recurrence(q: RationalParam, path_class: PathClass, order: int, one: int) -
 
     The body only adds, so it runs as well on any number type whose sums are
     exact: ``one`` is the int 1, or the exact decimal 1 of
-    :func:`_recurrence_texts`, and the counts are of its type.
+    :func:`_decimal_texts`, and the counts are of its type.
     """
     _param(q, "q")
     _index(order, "order")
@@ -335,14 +297,38 @@ def _recurrence(q: RationalParam, path_class: PathClass, order: int, one: int) -
             offset += period
 
 
-def _recurrence_texts(q: RationalParam, path_class: PathClass, order: int) -> Iterator[str]:
-    """The decimal texts of :func:`count_recurrence`'s counts, as ``str``
-    would give them, from :func:`_recurrence` run on exact decimals.
+def _exact_context():
+    """The ``decimal.Context`` in which :func:`_decimal_texts` runs a body.
 
-    Every step runs in one copy of the caller's context variables, taken
-    once, in which :func:`_exact_context` is the thread's decimal context
-    (``decimal`` keeps it in a context variable).  So every sum is exact,
-    and the caller's own decimal context is neither read nor changed.
+    It has the largest precision and exponent range and traps ``Inexact``,
+    ``Rounded``, ``Overflow`` and ``InvalidOperation``, so every result of
+    integers is an integer with exponent 0, and one that would be rounded
+    raises instead.  So this is still integer arithmetic, held in base 10^19
+    words by libmpdec, and the text of each value takes time linear in its
+    length and meets no int-to-text digit limit.
+    """
+    # imported here, not at the top: launches that print no decimals skip it
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN
+    from decimal import Context, Inexact, InvalidOperation, Overflow, Rounded
+
+    # the rounding is pinned so that no change to decimal.DefaultContext can
+    # give a zero sum the sign bit, and its text a minus sign
+    return Context(
+        prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN,
+        traps=[Inexact, Rounded, Overflow, InvalidOperation],
+    )
+
+
+def _decimal_texts(body: Callable[..., Iterator[int]], *args: object) -> Iterator[str]:
+    """The decimal texts of ``body(*args, one)``'s values, as ``str`` would
+    give them, with ``one`` the exact decimal 1: the one driver of both text
+    routes, :func:`_recurrence_texts` and :func:`_series_texts`.
+
+    Every step of the body runs in one copy of the caller's context
+    variables, taken once, in which :func:`_exact_context` is the thread's
+    decimal context (``decimal`` keeps it in a context variable).  So every
+    result is exact, and the caller's own decimal context is neither read
+    nor changed, even between two values.
     """
     # decimal is loaded by _exact_context, so this import costs nothing more
     from contextvars import copy_context
@@ -351,10 +337,20 @@ def _recurrence_texts(q: RationalParam, path_class: PathClass, order: int) -> It
     exact = _exact_context()
     scope = copy_context()
     scope.run(setcontext, exact)
-    values = _recurrence(q, path_class, order, exact.create_decimal(1))
+    values = body(*args, exact.create_decimal(1))
     text = exact.to_sci_string
     while (value := scope.run(next, values, None)) is not None:
         yield text(value)
+
+
+def _recurrence_texts(q: RationalParam, path_class: PathClass, order: int) -> Iterator[str]:
+    """The texts of :func:`count_recurrence`'s counts, on exact decimals."""
+    return _decimal_texts(_recurrence, q, path_class, order)
+
+
+def _series_texts(series: RationalSeries, order: int) -> Iterator[str]:
+    """The texts of :func:`series_coeffs`'s coefficients, on exact decimals."""
+    return _decimal_texts(_series, series, order)
 
 
 def count_enumeration(q: RationalParam, path_class: PathClass, order: int) -> tuple[int, ...]:

@@ -517,6 +517,16 @@ def test_cli_imports_no_heavy_modules():
     assert not checks & {"rdyck.cli", "argparse"}
 
 
+def test_library_imports_no_re():
+    # the library splits step texts with str methods alone; -S keeps site's
+    # hooks, which load re on most machines, from loading it first
+    probe = "import sys; before = set(sys.modules); import rdyck; print('re' in set(sys.modules) - before)"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=module_env(), timeout=60
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [("member", "--class", "r", "--q", "3/4", "UD"), ("verify", "--q", "3/4", "--nmax", "2")],

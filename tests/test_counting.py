@@ -27,6 +27,8 @@ from rdyck import (
 from rdyck.core import _part_sizes
 from rdyck.counting import _recurrence_texts, _series_texts
 
+from test_properties import reference_series
+
 Q_SAMPLE = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 5)]
 
 
@@ -176,15 +178,19 @@ class TestSeriesTexts:
     )
     def test_hand_made_series_agree(self, numerator, denominator, order, expected):
         # series_coeffs and _series_texts read the same series, including its
-        # edges, and fail on a negative coefficient with the same text
+        # edges, as the dense reference expansion does, and fail on a
+        # negative coefficient with the same text
         series = RationalSeries(numerator, denominator)
         if isinstance(expected, str):
+            with pytest.raises(ValueError) as reference_error:
+                reference_series(series, order)
             with pytest.raises(ValueError) as coeffs_error:
                 series_coeffs(series, order)
             with pytest.raises(ValueError) as text_error:
                 list(_series_texts(series, order))
-            assert str(coeffs_error.value) == str(text_error.value) == expected
+            assert str(reference_error.value) == str(coeffs_error.value) == str(text_error.value) == expected
         else:
+            assert reference_series(series, order) == expected
             assert series_coeffs(series, order) == expected
             assert list(_series_texts(series, order)) == list(map(str, expected))
 
@@ -375,13 +381,21 @@ class TestRecurrenceTexts:
         for order in orders:
             assert list(_recurrence_texts(q, family, order)) == expected[: order + 1], order
 
-    def test_caller_context_is_neither_read_nor_changed(self):
+    @pytest.mark.parametrize(
+        "route",
+        [
+            pytest.param(lambda q: _recurrence_texts(q, PathClass.RATIONAL, 3000), id="recurrence"),
+            pytest.param(lambda q: _series_texts(rational_gf(q), 3000), id="series"),
+        ],
+    )
+    def test_caller_context_is_neither_read_nor_changed(self, route):
         # a caller's context of 5 digits that traps Inexact would raise on the
-        # first sum of six digits, had a step read it; the counts pass six
-        # digits at n = 22 and ten at n = 38
+        # first sum or product of six digits, had a step read it; the counts
+        # pass six digits at n = 22 and ten at n = 38.  Both text routes run
+        # on the one driver, and each is checked between its values
         q = RationalParam(1, 1)
         expected = list(map(str, count_recurrence(q, PathClass.RATIONAL, 3000)))
-        texts = _recurrence_texts(q, PathClass.RATIONAL, 3000)
+        texts = route(q)
         with decimal.localcontext(decimal.Context(prec=5, traps=[decimal.Inexact])) as caller:
             head = []
             for _ in range(60):

@@ -277,6 +277,21 @@ def test_block_test_accepts_every_block_of_members(q, path_class, n):
     assert all(_low_paths(joined, count) for joined, count in _member_walk(q, path_class, n))
 
 
+def reference_series(series, order):
+    """a_0..a_order of a series by the dense expansion
+    a_n = num_n - sum_{j>=1} den_j * a_{n-j}, over every denominator term and
+    the whole table: apart from the library's windowed body."""
+    num, den = series.numerator, series.denominator
+    coeffs = []
+    for n in range(order + 1):
+        value = num[n] if n < len(num) else 0
+        value -= sum(den[j] * coeffs[n - j] for j in range(1, min(n, len(den) - 1) + 1))
+        if value < 0:
+            raise ValueError("counts must be non-negative")
+        coeffs.append(value)
+    return tuple(coeffs)
+
+
 @st.composite
 def small_series(draw):
     numerator = draw(st.lists(st.integers(min_value=-3, max_value=4), max_size=6))
@@ -290,15 +305,19 @@ def small_series(draw):
 @example(RationalSeries((2, -1, 3), (1, -1, 0, -3, 0, 0, -1)), 60)
 @example(RationalSeries((1, -1), (1, -1)), 5)
 def test_series_texts_match_the_coefficients(series, order):
-    # the decimal texts against str of the int coefficients, or the same error
+    # the int coefficients and the decimal texts, which share one body,
+    # against the dense reference expansion, or the same error
     try:
-        expected = list(map(str, series_coeffs(series, order)))
-    except ValueError as coeffs_error:
+        expected = reference_series(series, order)
+    except ValueError as reference_error:
+        with pytest.raises(ValueError) as coeffs_error:
+            series_coeffs(series, order)
         with pytest.raises(ValueError) as text_error:
             list(_series_texts(series, order))
-        assert str(text_error.value) == str(coeffs_error)
+        assert str(coeffs_error.value) == str(text_error.value) == str(reference_error)
     else:
-        assert list(_series_texts(series, order)) == expected
+        assert series_coeffs(series, order) == expected
+        assert list(_series_texts(series, order)) == list(map(str, expected))
 
 
 @st.composite
